@@ -57,7 +57,7 @@ main(int argc, char **argv)
                util::fmtF(rv.avgLatencyMs, 0),
                util::fmtPct(rv.forwardFraction),
                util::fmtPct(rv.localHitFraction),
-               "+" + util::fmtPct(rv.throughput / rt.throughput - 1)});
+               util::fmtSignedPct(rv.throughput / rt.throughput - 1)});
     }
     std::cout << t.render();
     std::cout << "\nDesign note: below T the cluster forwards almost "

@@ -49,7 +49,7 @@ main(int argc, char **argv)
                 v0 = tput;
                 row.push_back(util::fmtF(tput, 0));
             } else {
-                row.push_back("+" + util::fmtPct(tput / v0 - 1.0));
+                row.push_back(util::fmtSignedPct(tput / v0 - 1.0));
             }
         }
         row.push_back("+8-11%");

@@ -54,13 +54,13 @@ main(int argc, char **argv)
         double total = v5 / base - 1.0;
         gain_sum += total;
         t.row({trace.name, util::fmtF(base, 0),
-               "+" + util::fmtPct(v0 / base - 1.0),
-               "+" + util::fmtPct((v4 - v0) / base),
-               "+" + util::fmtPct((v5 - v4) / base),
-               "+" + util::fmtPct(total), "up to +29%"});
+               util::fmtSignedPct(v0 / base - 1.0),
+               util::fmtSignedPct((v4 - v0) / base),
+               util::fmtSignedPct((v5 - v4) / base),
+               util::fmtSignedPct(total), "up to +29%"});
     }
     t.separator();
-    t.row({"average", "", "", "", "", "+" + util::fmtPct(gain_sum / 4),
+    t.row({"average", "", "", "", "", util::fmtSignedPct(gain_sum / 4),
            "+26%"});
     std::cout << t.render();
     std::cout << "\nPaper (Fig. 6 + S3.4): user-level communication "

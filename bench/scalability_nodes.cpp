@@ -37,15 +37,35 @@ dissemMsgs(const ClusterResults &r)
     return r.comm.of(MsgKind::Load).msgs + r.comm.of(MsgKind::Caching).msgs;
 }
 
+/** Part 2's cluster sizes (the model cross-check). */
+const std::vector<int> ModelSizes = {1, 2, 4, 8, 12, 16};
+
+std::string
+joinSizes(const std::vector<int> &sizes)
+{
+    std::string out;
+    for (int n : sizes)
+        out += (out.empty() ? "" : ",") + std::to_string(n);
+    return out;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opts = Options::parse(argc, argv);
+
+    // Part 1's sizes: the --nodes list, or 8..256.
+    std::vector<int> sizes = opts.nodesList;
+    if (sizes.empty())
+        sizes = {8, 16, 32, 64, 128, 256};
+
     banner("Scalability", "cluster-size scaling to 256 nodes, "
                           "sim vs. model (Clarknet)",
-           opts);
+           opts,
+           joinSizes(sizes) + " nodes in part 1, " +
+               joinSizes(ModelSizes) + " in part 2");
 
     workload::TraceSpec spec = workload::clarknetSpec();
     if (opts.maxRequests && spec.numRequests > opts.maxRequests)
@@ -53,9 +73,6 @@ main(int argc, char **argv)
     workload::Trace trace = workload::generateTrace(spec);
 
     // ---- Part 1: dissemination x directory, up to 256 nodes --------
-    std::vector<int> sizes = opts.nodesList;
-    if (sizes.empty())
-        sizes = {8, 16, 32, 64, 128, 256};
 
     const std::vector<std::pair<std::string, Dissemination>> kinds = {
         {"PB", Dissemination::piggyBack()},
@@ -182,7 +199,7 @@ main(int argc, char **argv)
         opts.maxRequests ? opts.maxRequests : trace.requests.size(),
         300000);
     ParallelRunner runner(opts);
-    for (int n : {1, 2, 4, 8, 12, 16}) {
+    for (int n : ModelSizes) {
         // Keep offered load per node constant.
         PressConfig tcp;
         tcp.protocol = Protocol::TcpClan;
@@ -208,7 +225,7 @@ main(int argc, char **argv)
     t.header({"nodes", "sim TCP", "sim VIA-V5", "sim gain", "model TCP",
               "model VIA", "model gain"});
     std::size_t k = 0;
-    for (int n : {1, 2, 4, 8, 12, 16}) {
+    for (int n : ModelSizes) {
         const auto &rt = runner[k++];
         const auto &rv = runner[k++];
 
@@ -226,9 +243,9 @@ main(int argc, char **argv)
 
         t.row({std::to_string(n), util::fmtF(rt.throughput, 0),
                util::fmtF(rv.throughput, 0),
-               "+" + util::fmtPct(rv.throughput / rt.throughput - 1),
+               util::fmtSignedPct(rv.throughput / rt.throughput - 1),
                util::fmtF(pt, 0), util::fmtF(pv, 0),
-               "+" + util::fmtPct(pv / pt - 1)});
+               util::fmtSignedPct(pv / pt - 1)});
     }
     std::cout << "\n" << t.render();
     std::cout << "\nBoth columns should show the same story: gains grow "

@@ -165,8 +165,8 @@ CausalityChecker::onSchedule(sim::Tick now, sim::Tick when,
     ++_edges;
     if (!cover(from) || !cover(to)) {
         // Setup-time scheduling (before any event has run) carries no
-        // source domain; a parallel kernel would populate the shards
-        // before starting the clock, so these edges are exempt.
+        // source domain: nothing is in flight yet for it to outrun, so
+        // these edges are exempt.
         ++_untaggedEdges;
         return;
     }
@@ -188,8 +188,8 @@ CausalityChecker::onSchedule(sim::Tick now, sim::Tick when,
         v.delay = delay;
         v.bound = stats.bound;
         v.detail = domainLabel(from) + " -> " + domainLabel(to) +
-                   ": a parallel kernel could have advanced the target "
-                   "past this event";
+                   ": state crossed nodes faster than the link's wire "
+                   "latency";
         record(std::move(v));
     }
 }

@@ -1,15 +1,15 @@
 /**
  * @file
- * CausalityChecker: lookahead validation for the event kernel — the
- * feasibility study for parallelizing the simulator (ROADMAP item 1).
+ * CausalityChecker: a lookahead audit of the event kernel.
  *
- * A conservative parallel discrete-event kernel is only correct when
- * every causal edge that crosses a scheduling domain (one per cluster
- * node, one for the client population) carries at least the link's
- * lookahead: the receiver may then safely advance its local clock by
- * that bound without waiting for the sender. In this simulator the
- * physical justification is the network: nothing crosses nodes faster
- * than the fabric's wire latency.
+ * Every causal edge that crosses a scheduling domain (one per cluster
+ * node, one for the client population) must carry at least the link's
+ * lookahead, because nothing crosses nodes faster than the fabric's
+ * wire latency. An edge below that bound means the model changed
+ * another node's state faster than the network could have told it —
+ * a modelling bug. The bound is too narrow to size a parallel kernel's
+ * windows (docs/performance.md, "Cluster phase"); it is audited, not
+ * exploited.
  *
  * The checker watches two planes:
  *  - every scheduling edge, via sim::ScheduleObserver — an event in
@@ -20,10 +20,9 @@
  *    only ever adds time).
  *
  * Alongside the pass/fail verdict it measures the *actual* minimum
- * delay per (from, to) domain pair — the calibrated lookahead table a
- * parallel scheduler would be built on — printable via
- * writeLookaheadTable(), deterministically ordered and byte-identical
- * across reruns.
+ * delay per (from, to) domain pair — the measured lookahead table —
+ * printable via writeLookaheadTable(), deterministically ordered and
+ * byte-identical across reruns.
  *
  * CheckMode::Abort panics on the first violation (the mode checked
  * simulations run under); CheckMode::Record accumulates structured

@@ -276,9 +276,7 @@ ViaComm::setTracer(obs::Tracer *tracer, int node)
     ClusterComm::setTracer(tracer, node);
     // Stalls are per (peer, channel): each gate gets its own observer so
     // the trace says which window ran dry. The counter reference is
-    // resolved here, while setup is single-threaded: the registry's
-    // lazy name->slot insert is not safe from concurrent shard workers
-    // (the slot itself is, once it exists — vectors are sized once).
+    // resolved once here, so a stall does no registry lookup.
     obs::Counter *stalls =
         tracer ? &tracer->metrics().counter("comm.stalls", node) : nullptr;
     for (auto &peer : _peers) {

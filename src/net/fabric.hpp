@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -71,9 +70,9 @@ class Fabric;
 /**
  * Observer of completed cross-port transfers. The causality checker
  * (check::CausalityChecker) implements this to verify that every
- * delivery took at least the fabric's unloaded latency — the lower
- * bound a conservative parallel scheduler's lookahead window would
- * rely on. With no observer attached the hook is a null-pointer test.
+ * delivery took at least the fabric's unloaded latency — the physical
+ * lower bound on anything that crosses nodes. With no observer
+ * attached the hook is a null-pointer test.
  */
 class FabricObserver
 {
@@ -183,12 +182,6 @@ class Fabric
     FabricObserver *_observer = nullptr;
     std::deque<Transfer> _transferArena; ///< stable addresses, reused
     std::vector<Transfer *> _freeTransfers;
-    /** Transfers are acquired on the source port's domain and released
-     *  on the destination's — under the parallel kernel those are
-     *  different threads. The arena mutex is uncontended in sequential
-     *  runs and never leaks block order into results (addresses are
-     *  banned from outputs), so reuse order stays unobservable. */
-    std::mutex _arenaMutex;
 };
 
 } // namespace press::net

@@ -141,6 +141,14 @@ fmtPct(double fraction, int digits)
 }
 
 std::string
+fmtSignedPct(double fraction, int digits)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%+.*f%%", digits, fraction * 100.0);
+    return buf;
+}
+
+std::string
 fmtInt(long long v)
 {
     bool neg = v < 0;

@@ -47,6 +47,9 @@ std::string fmtF(double v, int digits = 1);
 /** Format a double as a percentage ("12.3%"). */
 std::string fmtPct(double fraction, int digits = 1);
 
+/** Format a change as a signed percentage ("+12.3%", "-5.0%"). */
+std::string fmtSignedPct(double fraction, int digits = 1);
+
 /** Format an integer with thousands separators ("2,978,121"). */
 std::string fmtInt(long long v);
 

@@ -63,8 +63,8 @@ TEST(CausalityChecker, RecordsABelowLookaheadCrossDomainEdge)
 
     sim.setCurrentDomain(0);
     sim.schedule(10 * US, [&sim] {
-        // A same-tick cross-node mutation: the canonical race a
-        // parallel kernel cannot honor.
+        // A same-tick cross-node mutation: state changing at a
+        // distance faster than any wire could carry it.
         sim.scheduleIn(1, 0, [] {});
     });
     sim.run();

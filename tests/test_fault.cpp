@@ -285,17 +285,6 @@ TEST(FaultCluster, ChurnIsByteIdenticalAcrossReruns)
     EXPECT_EQ(a, b);
 }
 
-TEST(FaultCluster, ChurnIsByteIdenticalAcrossThreadCounts)
-{
-    auto trace = churnTrace();
-    core::PressConfig config = churnConfig();
-    config.threads = 1;
-    std::string base = churnFingerprint(config, trace);
-    ASSERT_FALSE(base.empty());
-    config.threads = 4;
-    EXPECT_EQ(base, churnFingerprint(config, trace));
-}
-
 TEST(FaultCluster, ChurnSurvivesTickRacePermutations)
 {
     // Gossip dissemination + sharded directory is the widest fault

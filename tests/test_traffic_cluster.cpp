@@ -113,18 +113,6 @@ TEST(TrafficCluster, FlashRunIsByteIdenticalAcrossReruns)
     EXPECT_EQ(a, b);
 }
 
-TEST(TrafficCluster, FlashRunIsByteIdenticalAcrossThreadCounts)
-{
-    auto trace = smallTrace(20000);
-    PressConfig config = openConfig();
-    config.traffic = traffic::flashScenario(1800);
-    config.threads = 1;
-    std::string base = trafficFingerprint(config, trace, 5000);
-    ASSERT_FALSE(base.empty());
-    config.threads = 4;
-    EXPECT_EQ(base, trafficFingerprint(config, trace, 5000));
-}
-
 TEST(TrafficCluster, KeepAliveSurvivesTickRacePermutations)
 {
     // Sessions are the widest new surface: think-timer wakeups, span

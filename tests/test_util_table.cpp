@@ -10,6 +10,7 @@
 using press::util::fmtF;
 using press::util::fmtInt;
 using press::util::fmtPct;
+using press::util::fmtSignedPct;
 using press::util::TextTable;
 
 TEST(Fmt, Fixed)
@@ -23,6 +24,9 @@ TEST(Fmt, Percent)
 {
     EXPECT_EQ(fmtPct(0.123), "12.3%");
     EXPECT_EQ(fmtPct(1.0, 0), "100%");
+    // A change carries its own sign: never "+-5.0%".
+    EXPECT_EQ(fmtSignedPct(0.123), "+12.3%");
+    EXPECT_EQ(fmtSignedPct(-0.05), "-5.0%");
 }
 
 TEST(Fmt, ThousandsSeparators)
