@@ -29,13 +29,17 @@
 #       knee misses its offered rate or the flash crowd never crosses
 #       the overload pivot) and a byte-identity diff across --jobs
 #       values (see docs/workloads.md)
-#   (i) lint pass (clang-tidy when available + project grep bans,
+#   (i) bench: the repository benchmark's self-test — smoke runs of
+#       every pressbench workload, checking wire conservation,
+#       fingerprint identity across reruns and the metrics
+#       BENCHMARK.json declares (see pressbench/README.md)
+#   (j) lint pass (clang-tidy when available + project grep bans,
 #       including the nondeterminism, raw-argv, raw-RNG and raw-throw
 #       bans)
 #
 # Usage: scripts/check.sh [stage...]
 #   stage  any of: tier1 asan tsan trace races scale fault traffic
-#          lint (default: all nine, in order)
+#          bench lint (default: all ten, in order)
 #
 # Every requested stage runs even when an earlier one fails; the
 # summary table at the end shows per-stage pass/fail and the script
@@ -47,7 +51,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -eq 0 ]; then
-    STAGES=(tier1 asan tsan trace races scale fault traffic lint)
+    STAGES=(tier1 asan tsan trace races scale fault traffic bench lint)
 else
     STAGES=("$@")
 fi
@@ -178,6 +182,13 @@ stage_traffic() {
     echo "capacity_slo byte-identical across --jobs 1/4"
 }
 
+stage_bench() {
+    # Builds pressbench/ into .bench_build/ (Release) and smoke-runs
+    # every workload, untraced and traced; exits nonzero on the first
+    # broken check.
+    python3 pressbench/tests/selftest.py
+}
+
 stage_lint() {
     scripts/lint.sh build
 }
@@ -187,10 +198,10 @@ OVERALL=0
 
 for stage in "${STAGES[@]}"; do
     case "$stage" in
-    tier1|asan|tsan|trace|races|scale|fault|traffic|lint) ;;
+    tier1|asan|tsan|trace|races|scale|fault|traffic|bench|lint) ;;
     *)
         echo "check.sh: unknown stage '$stage'" \
-             "(want tier1|asan|tsan|trace|races|scale|fault|traffic|lint)" >&2
+             "(want tier1|asan|tsan|trace|races|scale|fault|traffic|bench|lint)" >&2
         exit 2
         ;;
     esac

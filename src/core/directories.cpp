@@ -70,79 +70,107 @@ randomIn(const NodeMask &mask, util::Rng &rng, int nodes, int exclude)
     return -1;
 }
 
-CacheDirectory::CacheDirectory(int nodes) : _nodes(nodes)
+CacheDirectory::CacheDirectory(int nodes)
+    : _nodes(nodes), _words((nodes + 63) / 64)
 {
     PRESS_ASSERT(nodes > 0 && nodes <= MaxNodes,
                  "CacheDirectory supports 1..", MaxNodes, " nodes, got ",
                  nodes);
 }
 
+std::size_t
+CacheDirectory::rowAt(storage::FileId file) const
+{
+    return static_cast<std::size_t>(file) *
+           static_cast<std::size_t>(_words);
+}
+
+const std::uint64_t *
+CacheDirectory::row(storage::FileId file) const
+{
+    std::size_t at = rowAt(file);
+    return at < _rows.size() ? _rows.data() + at : nullptr;
+}
+
+bool
+CacheDirectory::rowEmpty(const std::uint64_t *r) const
+{
+    for (int i = 0; i < _words; ++i)
+        if (r[i])
+            return false;
+    return true;
+}
+
 void
 CacheDirectory::update(int node, storage::FileId file, bool cached)
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
-    if (cached) {
-        _masks[file].set(node);
-    } else {
-        auto it = _masks.find(file);
-        if (it == _masks.end())
+    std::size_t at = rowAt(file);
+    if (at >= _rows.size()) {
+        if (!cached)
             return;
-        it->second.clear(node);
-        if (it->second.none())
-            _masks.erase(it);
+        _rows.resize(at + static_cast<std::size_t>(_words), 0);
+    }
+    std::uint64_t *r = _rows.data() + at;
+    std::uint64_t &word = r[node / 64];
+    std::uint64_t bit = std::uint64_t{1} << (node % 64);
+    if (cached) {
+        if (rowEmpty(r))
+            ++_known;
+        word |= bit;
+    } else if (word & bit) {
+        word &= ~bit;
+        if (rowEmpty(r))
+            --_known;
     }
 }
 
 bool
 CacheDirectory::anyoneCaches(storage::FileId file) const
 {
-    return _masks.find(file) != _masks.end();
+    const std::uint64_t *r = row(file);
+    return r && !rowEmpty(r);
 }
 
 bool
 CacheDirectory::caches(int node, storage::FileId file) const
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
-    auto it = _masks.find(file);
-    return it != _masks.end() && it->second.test(node);
+    return mask(file).test(node);
 }
 
 NodeMask
 CacheDirectory::mask(storage::FileId file) const
 {
-    auto it = _masks.find(file);
-    return it == _masks.end() ? NodeMask{} : it->second;
+    const std::uint64_t *r = row(file);
+    return r ? NodeMask::fromWords(r, _words) : NodeMask{};
 }
 
 int
 CacheDirectory::leastLoadedCaching(storage::FileId file,
                                    const LoadDirectory &loads) const
 {
-    auto it = _masks.find(file);
-    if (it == _masks.end())
-        return -1;
-    return leastLoadedIn(it->second, loads, _nodes);
+    return leastLoadedIn(mask(file), loads, _nodes);
 }
 
 int
 CacheDirectory::randomCaching(storage::FileId file, util::Rng &rng) const
 {
-    auto it = _masks.find(file);
-    if (it == _masks.end())
-        return -1;
-    return randomIn(it->second, rng, _nodes);
+    return randomIn(mask(file), rng, _nodes);
 }
 
 void
 CacheDirectory::dropNode(int node)
 {
     PRESS_ASSERT(node >= 0 && node < _nodes, "bad node id ", node);
-    for (auto it = _masks.begin(); it != _masks.end();) {
-        it->second.clear(node);
-        if (it->second.none())
-            it = _masks.erase(it);
-        else
-            ++it;
+    std::uint64_t bit = std::uint64_t{1} << (node % 64);
+    for (std::size_t at = 0; at < _rows.size(); at += _words) {
+        std::uint64_t *r = _rows.data() + at;
+        if (!(r[node / 64] & bit))
+            continue;
+        r[node / 64] &= ~bit;
+        if (rowEmpty(r))
+            --_known;
     }
 }
 

@@ -18,6 +18,7 @@
 #ifndef PRESS_CORE_DIRECTORIES_HPP
 #define PRESS_CORE_DIRECTORIES_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <list>
@@ -65,6 +66,15 @@ class NodeMask
     /** Raw 64-bit word @p i (tests, compact printing). */
     std::uint64_t words(int i) const { return _w[i]; }
     static constexpr int Words = MaxNodes / 64;
+
+    /** The mask whose first @p n words are @p w (the rest clear). */
+    static NodeMask
+    fromWords(const std::uint64_t *w, int n)
+    {
+        NodeMask m;
+        std::copy_n(w, n, m._w.begin());
+        return m;
+    }
 
   private:
     static std::size_t word(int i)
@@ -118,7 +128,10 @@ int randomIn(const NodeMask &mask, util::Rng &rng, int nodes,
 
 /**
  * The paper's cache directory: every node tracks which nodes cache
- * which files, as one NodeMask per file (full replication).
+ * which files (full replication). FileIds are dense, so the table is
+ * one row of ceil(N/64) mask words per file, indexed by id: 8 B per
+ * file at <= 64 nodes. Rows are grown lazily up to the highest id ever
+ * marked cached; ids past the end read as uncached.
  */
 class CacheDirectory
 {
@@ -151,15 +164,23 @@ class CacheDirectory
     int randomCaching(storage::FileId file, util::Rng &rng) const;
 
     /** Distinct files known to be cached somewhere. */
-    std::size_t knownFiles() const { return _masks.size(); }
+    std::size_t knownFiles() const { return _known; }
 
     /** Fault recovery: forget everything @p node was believed to cache
      *  (its cache died with it). */
     void dropNode(int node);
 
   private:
+    /** Index of @p file's first word in _rows. */
+    std::size_t rowAt(storage::FileId file) const;
+    /** @p file's row, or nullptr past the grown end. */
+    const std::uint64_t *row(storage::FileId file) const;
+    bool rowEmpty(const std::uint64_t *r) const;
+
     int _nodes;
-    std::unordered_map<storage::FileId, NodeMask> _masks;
+    int _words; ///< row length: ceil(_nodes / 64)
+    std::vector<std::uint64_t> _rows; ///< file f: [f*_words, (f+1)*_words)
+    std::size_t _known = 0;           ///< non-empty rows
 };
 
 /**

@@ -85,10 +85,15 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     // A receive thread exists whenever some message type still travels
     // as a regular two-sided send (Section 3.4: "this version does not
     // require a receive thread" only from V3 on, with piggy-backing).
-    _recvThreadNeeded =
-        !usesRmw(MsgKind::File) ||
-        (_config.dissemination.kind == Dissemination::Kind::Broadcast &&
-         !_config.dissemination.useRmw);
+    // Explicit load messages are regular sends unless they use the RMW
+    // load word, which only broadcasts can: gossip and tree rumors (and
+    // their multi-rumor digests) always travel as regular sends.
+    Dissemination::Kind kind = _config.dissemination.kind;
+    bool explicit_loads = kind == Dissemination::Kind::Broadcast ||
+                          kind == Dissemination::Kind::Gossip ||
+                          kind == Dissemination::Kind::Tree;
+    _recvThreadNeeded = !usesRmw(MsgKind::File) ||
+                        (explicit_loads && !_config.dissemination.useRmw);
 
     int nodes = _config.nodes;
 
@@ -443,7 +448,10 @@ ViaComm::sendCachingDigest(int dst, const CachingDigestMsg &msg)
     w.from = _node;
     w.piggyLoad = piggyLoad();
     w.body = msg;
-    if (usesRmw(MsgKind::Caching))
+    // A ring slot holds one short record: a digest that outgrows it
+    // travels as a regular send, like load digests.
+    std::uint64_t written = bytes + (w.piggyLoad >= 0 ? 4 : 0);
+    if (usesRmw(MsgKind::Caching) && written <= SlotBytes)
         sendRmwControl(dst, MsgKind::Caching, bytes, std::move(w));
     else
         sendRegular(dst, MsgKind::Caching, bytes, std::move(w),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "util/logging.hpp"
 #include "via/observer.hpp"
@@ -37,6 +38,7 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
                              bool backed)
 {
     PRESS_ASSERT(size > 0, "cannot register an empty region");
+    PRESS_ASSERT(!_inHook, "registration from inside a write hook");
     MemoryRegion region;
     region.handle = _nextHandle++;
     region.base = _nextBase;
@@ -44,9 +46,13 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
     _nextBase += roundUpToPage(size) + PageSize; // guard page between
     _pinned += roundUpToPage(size);
     Entry entry{region, std::move(hook), {}};
-    if (backed)
+    if (backed) {
         entry.backing.assign(size, 0);
-    _regions.emplace(region.base, std::move(entry));
+        ++_backed;
+    }
+    // Bases only grow, so the new region sorts last.
+    _bases.push_back(region.base);
+    _entries.push_back(std::move(entry));
     if (_observer)
         _observer->onRegister(*this, region, backed);
     return region;
@@ -55,10 +61,16 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
 bool
 MemoryRegistry::deregister(MemoryHandle handle)
 {
-    for (auto it = _regions.begin(); it != _regions.end(); ++it) {
-        if (it->second.region.handle == handle) {
-            _pinned -= roundUpToPage(it->second.region.size);
-            _regions.erase(it);
+    PRESS_ASSERT(!_inHook, "deregistration from inside a write hook");
+    for (std::size_t i = 0; i < _entries.size(); ++i) {
+        const Entry &e = _entries[i];
+        if (e.region.handle == handle) {
+            _pinned -= roundUpToPage(e.region.size);
+            if (!e.backing.empty())
+                --_backed;
+            _bases.erase(_bases.begin() + static_cast<std::ptrdiff_t>(i));
+            _entries.erase(_entries.begin() +
+                           static_cast<std::ptrdiff_t>(i));
             if (_observer)
                 _observer->onDeregister(*this, handle, true);
             return true;
@@ -72,11 +84,11 @@ MemoryRegistry::deregister(MemoryHandle handle)
 const MemoryRegistry::Entry *
 MemoryRegistry::entryFor(Address addr, std::uint64_t length) const
 {
-    auto it = _regions.upper_bound(addr);
-    if (it == _regions.begin())
+    auto it = std::upper_bound(_bases.begin(), _bases.end(), addr);
+    if (it == _bases.begin())
         return nullptr;
-    --it;
-    const Entry &e = it->second;
+    const Entry &e = _entries[static_cast<std::size_t>(
+        it - _bases.begin() - 1)];
     const MemoryRegion &r = e.region;
     if (addr >= r.base && addr + length <= r.base + r.size)
         return &e;
@@ -132,7 +144,7 @@ MemoryRegistry::dmaCopy(const MemoryRegistry &src, Address src_addr,
                         MemoryRegistry &dst, Address dst_addr,
                         std::uint64_t length)
 {
-    if (length == 0)
+    if (length == 0 || src._backed == 0 || dst._backed == 0)
         return;
     const Entry *se = src.entryFor(src_addr, length);
     Entry *de = dst.entryFor(dst_addr, length);
@@ -153,8 +165,11 @@ MemoryRegistry::deliverWrite(Address addr, std::uint64_t length,
         _observer->onRdmaDeliver(*this, addr, length, e != nullptr);
     if (!e)
         return false;
-    if (e->hook)
+    if (e->hook) {
+        bool outer = std::exchange(_inHook, true);
         e->hook(addr - e->region.base, length, payload, immediate);
+        _inHook = outer;
+    }
     return true;
 }
 

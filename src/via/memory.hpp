@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -58,6 +57,12 @@ struct MemoryRegion {
  * additionally own real storage: DMA between two backed regions copies
  * actual bytes, so applications using the VIA library directly (and the
  * library's own tests) get byte-exact data transfer.
+ *
+ * Every VIA transfer resolves its addresses here, so the table is flat:
+ * base addresses are handed out in increasing order, registering
+ * appends, and a lookup binary-searches a dense vector of bases. A
+ * write hook must not register or deregister regions of its own
+ * registry (the table moves entries; this is asserted).
  */
 class MemoryRegistry
 {
@@ -90,7 +95,8 @@ class MemoryRegistry
 
     /** NIC-side: copy @p length bytes of backing between regions (used
      *  by the DMA engine when both ends are backed). No-op when either
-     *  side is unbacked. */
+     *  side is unbacked; returns before any lookup when either registry
+     *  holds no backed region. */
     static void dmaCopy(const MemoryRegistry &src, Address src_addr,
                         MemoryRegistry &dst, Address dst_addr,
                         std::uint64_t length);
@@ -113,7 +119,7 @@ class MemoryRegistry
     std::uint64_t pinnedBytes() const { return _pinned; }
 
     /** Number of live regions. */
-    std::size_t regions() const { return _regions.size(); }
+    std::size_t regions() const { return _entries.size(); }
 
     /** Attach an instrumentation observer (nullptr detaches). */
     void setObserver(ViaObserver *observer) { _observer = observer; }
@@ -131,7 +137,12 @@ class MemoryRegistry
     const Entry *entryFor(Address addr, std::uint64_t length) const;
     Entry *entryFor(Address addr, std::uint64_t length);
 
-    std::map<Address, Entry> _regions; ///< keyed by base address
+    // Live regions in base order: _bases[i] == _entries[i].region.base,
+    // kept apart so the binary search touches only the bases.
+    std::vector<Address> _bases;
+    std::vector<Entry> _entries;
+    std::size_t _backed = 0; ///< live backed regions
+    bool _inHook = false;    ///< a write hook is running
     Address _nextBase = 0x1000;
     MemoryHandle _nextHandle = 1;
     std::uint64_t _pinned = 0;

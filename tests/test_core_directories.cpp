@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "core/directories.hpp"
 
 using press::core::CacheDirectory;
 using press::core::LoadDirectory;
 using press::core::NodeMask;
 using press::core::ShardedCacheDirectory;
+using press::storage::FileId;
 using press::util::Rng;
 
 TEST(NodeMask, SetTestClearAcrossWords)
@@ -104,6 +108,158 @@ TEST(CacheDirectory, RandomCachingCoversAllHolders)
         seen.insert(d.randomCaching(5, rng));
     EXPECT_EQ(seen, (std::set<int>{2, 4, 7}));
     EXPECT_EQ(d.randomCaching(999, rng), -1);
+}
+
+namespace {
+
+/** The replicated directory's contract, kept the obvious way. */
+struct RefDirectory {
+    std::map<FileId, std::set<int>> files;
+
+    void
+    update(int node, FileId file, bool cached)
+    {
+        if (cached) {
+            files[file].insert(node);
+            return;
+        }
+        auto it = files.find(file);
+        if (it == files.end())
+            return;
+        it->second.erase(node);
+        if (it->second.empty())
+            files.erase(it);
+    }
+
+    void
+    dropNode(int node)
+    {
+        for (auto it = files.begin(); it != files.end();) {
+            it->second.erase(node);
+            it = it->second.empty() ? files.erase(it) : std::next(it);
+        }
+    }
+
+    const std::set<int> *
+    holders(FileId file) const
+    {
+        auto it = files.find(file);
+        return it == files.end() ? nullptr : &it->second;
+    }
+
+    int
+    leastLoaded(FileId file, const LoadDirectory &loads) const
+    {
+        const std::set<int> *h = holders(file);
+        int best = -1;
+        for (int n : h ? *h : std::set<int>{})
+            if (best < 0 || loads.load(n) < loads.load(best))
+                best = n;
+        return best;
+    }
+
+    int
+    random(FileId file, Rng &rng) const
+    {
+        const std::set<int> *h = holders(file);
+        if (!h)
+            return -1;
+        auto it = h->begin();
+        std::advance(it, static_cast<long>(rng.uniformInt(h->size())));
+        return *it;
+    }
+};
+
+void
+expectSameView(const CacheDirectory &dir, const RefDirectory &ref,
+               FileId file, int nodes, const LoadDirectory &loads,
+               Rng &dirRng, Rng &refRng)
+{
+    SCOPED_TRACE("file " + std::to_string(file));
+    const std::set<int> *h = ref.holders(file);
+    EXPECT_EQ(dir.anyoneCaches(file), h != nullptr);
+    NodeMask want;
+    for (int n : h ? *h : std::set<int>{})
+        want.set(n);
+    EXPECT_EQ(dir.mask(file), want);
+    for (int n = 0; n < nodes; ++n)
+        ASSERT_EQ(dir.caches(n, file), want.test(n)) << "node " << n;
+    EXPECT_EQ(dir.knownFiles(), ref.files.size());
+    EXPECT_EQ(dir.leastLoadedCaching(file, loads),
+              ref.leastLoaded(file, loads));
+    EXPECT_EQ(dir.randomCaching(file, dirRng), ref.random(file, refRng));
+}
+
+} // namespace
+
+TEST(CacheDirectory, MatchesMapOracle)
+{
+    // A seeded stream of updates and node drops, checked after every
+    // operation against a map-of-sets reference: the touched file, a
+    // random known id, and ids never seen or past the grown end.
+    constexpr FileId Files = 200;
+    for (int nodes : {1, 8, 64, 65, 256}) {
+        SCOPED_TRACE("nodes " + std::to_string(nodes));
+        CacheDirectory dir(nodes);
+        RefDirectory ref;
+        LoadDirectory loads(nodes, 0);
+        Rng ops(static_cast<std::uint64_t>(nodes) + 11);
+        Rng dirRng(5), refRng(5);
+        auto pick = [&ops](std::uint64_t n) {
+            return static_cast<FileId>(ops.uniformInt(n));
+        };
+        for (int step = 0; step < 3000; ++step) {
+            int node = static_cast<int>(ops.uniformInt(nodes));
+            // Few distinct loads, so the lowest-id tie-break matters.
+            loads.update(static_cast<int>(ops.uniformInt(nodes)),
+                         static_cast<int>(ops.uniformInt(3)));
+            std::uint64_t dice = ops.uniformInt(100);
+            FileId file;
+            if (dice < 2) {
+                file = pick(Files);
+                dir.dropNode(node);
+                ref.dropNode(node);
+            } else if (dice < 55) {
+                // Mostly a dense range; sometimes a jump that grows the
+                // table well past its current end.
+                file = dice < 5 ? Files + pick(4 * Files) : pick(Files);
+                dir.update(node, file, true);
+                ref.update(node, file, true);
+            } else {
+                // Evictions, including ids never seen and past the end.
+                file = pick(6 * Files);
+                dir.update(node, file, false);
+                ref.update(node, file, false);
+            }
+            expectSameView(dir, ref, file, nodes, loads, dirRng, refRng);
+            expectSameView(dir, ref, pick(Files), nodes, loads, dirRng,
+                           refRng);
+            expectSameView(dir, ref, FileId{1} << 30, nodes, loads,
+                           dirRng, refRng);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        EXPECT_GT(ref.files.size(), 0u) << "stream never cached a file";
+    }
+}
+
+TEST(CacheDirectory, DropNodeForgetsOnlyThatNode)
+{
+    CacheDirectory d(70);
+    d.update(3, 1, true);
+    d.update(66, 1, true);
+    d.update(66, 2, true);
+    d.update(3, 4, true);
+    EXPECT_EQ(d.knownFiles(), 3u);
+    d.dropNode(66);
+    EXPECT_TRUE(d.caches(3, 1));
+    EXPECT_FALSE(d.caches(66, 1));
+    EXPECT_FALSE(d.anyoneCaches(2));
+    EXPECT_TRUE(d.anyoneCaches(4));
+    EXPECT_EQ(d.knownFiles(), 2u);
+    d.dropNode(3);
+    EXPECT_EQ(d.knownFiles(), 0u);
+    EXPECT_EQ(d.mask(1), NodeMask{});
 }
 
 TEST(CacheDirectory, RejectsOversizedClusters)

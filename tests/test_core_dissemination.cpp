@@ -234,11 +234,14 @@ smallTrace()
 
 std::string
 runFingerprint(core::PressConfig config, const workload::Trace &trace,
-               std::uint64_t requests = 3000)
+               std::uint64_t requests = 3000,
+               std::uint64_t *lost = nullptr)
 {
     config.trace = true;
     core::PressCluster cluster(config, trace);
     auto r = cluster.run(requests);
+    if (lost)
+        *lost = r.requestsLost + cluster.badRequests();
 
     std::ostringstream fp;
     fp.precision(17);
@@ -437,4 +440,33 @@ TEST(Dissemination, SequentialRunsAreReproducible)
     config.dissemination = core::Dissemination::gossip(3);
     config.directoryMode = core::DirectoryMode::Sharded;
     expectRerunIdentity(config, trace);
+}
+
+TEST(Dissemination, ViaRmwVersionsCarryGossipAndTree)
+{
+    // From V2 on, caching messages ride RMW rings, and from V3 on
+    // files do too, so the receive thread exists only for explicit
+    // load traffic. Gossip and tree rumors are such traffic, and a
+    // multi-rumor caching digest outgrows a ring slot; both must take
+    // the regular-send path. The abort-mode VIA checker turns any
+    // receive overrun or off-slot write into a test failure.
+    auto trace = smallTrace();
+    for (core::Version version :
+         {core::Version::V2, core::Version::V3, core::Version::V5}) {
+        for (const core::Dissemination &dissemination :
+             {core::Dissemination::gossip(4),
+              core::Dissemination::tree(4)}) {
+            core::PressConfig config;
+            config.protocol = core::Protocol::ViaClan;
+            config.version = version;
+            config.nodes = 8;
+            config.dissemination = dissemination;
+            config.viaCheck = core::ViaCheck::Abort;
+            SCOPED_TRACE(config.label());
+            std::uint64_t lost = 1;
+            std::string base = runFingerprint(config, trace, 3000, &lost);
+            EXPECT_EQ(lost, 0u);
+            EXPECT_EQ(base, runFingerprint(config, trace));
+        }
+    }
 }
