@@ -113,6 +113,23 @@ if [ -n "$rate_hits" ]; then
     FAILED=1
 fi
 
+# ------------------------------------------------ message-size ban
+# Table-2 message sizes have one home: core::logicalBytes in
+# src/core/messages.cpp. Re-deriving them from the MessageSizes fields
+# anywhere else lets a backend's byte accounting drift from the one
+# every table reports. sizes.fileMeta and sizes.flowRmw stay legal in
+# ViaComm: they size records only VIA's remote writes carry. Tests are
+# exempt, as they are from the arrival-rate ban.
+size_hits=$(grep -rnE \
+    'sizes\.(load|flowRegular|forward|caching|fileHeader|disseminationHeader)\b' \
+    src/ bench/ tools/ examples/ | grep -v '^src/core/messages\.cpp:' || true)
+if [ -n "$size_hits" ]; then
+    echo "lint: BANNED pattern 'Table-2 size field'" \
+         "(compute message sizes with core::logicalBytes):"
+    echo "$size_hits" | sed 's/^/  /'
+    FAILED=1
+fi
+
 # ------------------------------------------------ seeded-RNG bans
 # Every randomized choice must flow through util::Rng (seeded,
 # per-component) or a deterministic hash chain like the gossip peer

@@ -79,52 +79,12 @@ class ClusterComm
         _loadProvider = std::move(provider);
     }
 
-    /** Explicit load broadcast to one node. */
-    virtual void sendLoad(int dst, const LoadMsg &msg) = 0;
-
-    /** Forward a request to its service node. */
-    virtual void sendForward(int dst, const ForwardMsg &msg) = 0;
-
-    /** Announce a cache insertion/eviction to one node. */
-    virtual void sendCaching(int dst, const CachingMsg &msg) = 0;
-
     /**
-     * Gossip: one round's load rumors for one peer in a single
-     * message. The default unpacks into per-rumor sends (correct but
-     * message-count-degenerate); the real backends override to put the
-     * whole digest on the wire as one message.
+     * Send @p body to node @p dst. The body's alternative decides the
+     * message kind (kindOf) and its Table-2 size (logicalBytes); the
+     * backend decides how that kind travels (VIA: Table 3).
      */
-    virtual void
-    sendLoadDigest(int dst, const LoadDigestMsg &msg)
-    {
-        for (const LoadMsg &r : msg.rumors)
-            sendLoad(dst, r);
-    }
-
-    /** Gossip: one round's caching rumors for one peer; see
-     *  sendLoadDigest. */
-    virtual void
-    sendCachingDigest(int dst, const CachingDigestMsg &msg)
-    {
-        for (const CachingMsg &r : msg.rumors)
-            sendCaching(dst, r);
-    }
-
-    /** Transfer a file back to the initial node. */
-    virtual void sendFile(int dst, const FileMsg &msg) = 0;
-
-    /**
-     * Membership update (fault tolerance). Backends carry it like any
-     * short control message; the default is provided so backends
-     * without fault support need no change (it must never be reached
-     * while a FaultPlan is active — the cluster wires real backends).
-     */
-    virtual void
-    sendMembership(int dst, const MembershipMsg &msg)
-    {
-        (void)dst;
-        (void)msg;
-    }
+    virtual void send(int dst, WireBody body) = 0;
 
     // ----------------------------------------------- fault transitions
     //

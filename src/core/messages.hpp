@@ -9,6 +9,7 @@
 #define PRESS_CORE_MESSAGES_HPP
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "net/payload.hpp"
@@ -43,6 +44,8 @@ struct LoadMsg {
     int origin = -1;
     std::uint32_t seq = 0;
     int hops = 0;
+
+    bool operator==(const LoadMsg &) const = default;
 };
 
 /** Which flow-controlled channel a credit refers to. */
@@ -58,6 +61,8 @@ enum class FlowChannel : int {
 struct FlowMsg {
     int credits = 0;
     FlowChannel channel = FlowChannel::Regular;
+
+    bool operator==(const FlowMsg &) const = default;
 };
 
 /** How a ForwardMsg should be processed (sharded directories). */
@@ -78,6 +83,8 @@ struct ForwardMsg {
     std::uint32_t tag = 0; ///< initial node's request tag
     int origin = -1;
     ForwardRoute route = ForwardRoute::Serve;
+
+    bool operator==(const ForwardMsg &) const = default;
 };
 
 /** Caching information: a file entered or left a node's cache.
@@ -90,6 +97,8 @@ struct CachingMsg {
     int origin = -1;
     std::uint32_t seq = 0;
     int hops = 0;
+
+    bool operator==(const CachingMsg &) const = default;
 };
 
 /**
@@ -104,11 +113,15 @@ struct CachingMsg {
  */
 struct LoadDigestMsg {
     std::vector<LoadMsg> rumors; ///< every entry has origin >= 0
+
+    bool operator==(const LoadDigestMsg &) const = default;
 };
 
 /** Caching-information digest; see LoadDigestMsg. */
 struct CachingDigestMsg {
     std::vector<CachingMsg> rumors; ///< every entry has origin >= 0
+
+    bool operator==(const CachingDigestMsg &) const = default;
 };
 
 /**
@@ -124,6 +137,8 @@ struct MembershipMsg {
     std::uint32_t epoch = 0;
     int origin = -1;
     int hops = 0;
+
+    bool operator==(const MembershipMsg &) const = default;
 };
 
 /** File transfer: the reply to a ForwardMsg. */
@@ -131,7 +146,18 @@ struct FileMsg {
     storage::FileId file = storage::InvalidFile;
     std::uint32_t tag = 0;  ///< echoes ForwardMsg::tag
     std::uint32_t bytes = 0;
+
+    bool operator==(const FileMsg &) const = default;
 };
+
+/** One intra-cluster message body. The alternative decides the kind
+ *  (kindOf): the digests are Load and Caching messages. */
+using WireBody = std::variant<LoadMsg, FlowMsg, ForwardMsg, CachingMsg,
+                              FileMsg, LoadDigestMsg, CachingDigestMsg,
+                              MembershipMsg>;
+
+/** The accounting kind of @p body (a Table 2 / Table 4 row). */
+MsgKind kindOf(const WireBody &body);
 
 /** A message as delivered to the server layer. */
 struct Incoming {

@@ -208,97 +208,18 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
         serveLocal(file, tag, false);
         return;
     }
-    // Sharded directory: rules 3/4 run against the owned shard, the
-    // hot set, or the shard owner (one extra short message).
-    if (_shardDir) {
-        dispatchSharded(file, tag);
-        return;
-    }
-
-    // Rule 3: first access anywhere -> local (brings it into the
-    // cluster cache).
-    if (!_cacheDir.anyoneCaches(file)) {
-        decided(obs::DispatchDecision::FirstTouch);
-        serveLocal(file, tag, false);
-        return;
-    }
-
-    // Rule 4: pick a service node among the caching nodes. Fault mode
-    // additionally masks out nodes not currently believed Alive (the
-    // suspect window, before the directory itself is repaired).
-    int candidate;
-    if (_faultActive) {
-        NodeMask mask = _cacheDir.mask(file);
-        for (int j = 0; j < _config.nodes; ++j)
-            if (mask.test(j) && !_view->aliveNode(j))
-                mask.clear(j);
-        if (mask.none()) {
-            decided(obs::DispatchDecision::FirstTouch);
-            serveLocal(file, tag, false);
-            return;
-        }
-        if (_config.dissemination.kind == Dissemination::Kind::None)
-            candidate = randomIn(mask, _rng, _config.nodes);
-        else
-            candidate = leastLoadedIn(mask, _loadDir, _config.nodes);
-    } else if (_config.dissemination.kind == Dissemination::Kind::None) {
-        // No load information: any caching node will do.
-        candidate = _cacheDir.randomCaching(file, _rng);
-    } else {
-        candidate = _cacheDir.leastLoadedCaching(file, _loadDir);
-    }
-    PRESS_ASSERT(candidate >= 0, "directory said cached but empty mask");
-    if (candidate == _id) {
-        decided(obs::DispatchDecision::SelfBest);
-        serveLocal(file, tag, false);
-        return;
-    }
-
-    bool forward = true;
-    if (_config.dissemination.kind != Dissemination::Kind::None) {
-        int t = _config.overloadThreshold;
-        if (_loadDir.load(candidate) > t) {
-            // Candidate overloaded: forward anyway only when this node
-            // and the cluster's least-loaded node are overloaded too;
-            // otherwise serve locally, replicating the file.
-            int least = _loadDir.leastLoaded();
-            bool all_overloaded =
-                load() > t && _loadDir.load(least) > t;
-            forward = all_overloaded;
-        }
-    }
-
-    if (forward) {
-        ++_stats.forwardedOut;
-        decided(obs::DispatchDecision::Forward);
-        PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
-                                obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
-        _comm.sendForward(candidate, ForwardMsg{file, tag});
-        noteAwaiting(tag, candidate);
-    } else {
-        ++_stats.overloadLocalServes;
-        decided(obs::DispatchDecision::OverloadLocal);
-        serveLocal(file, tag, true);
-    }
-}
-
-void
-PressServer::dispatchSharded(FileId file, std::uint32_t tag)
-{
-    auto decided = [this, tag](obs::DispatchDecision d) {
-        PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ReqDispatch,
-                            obs::requestId(_id, tag),
-                            static_cast<std::uint64_t>(d));
-    };
-
+    // Rules 3/4 run against the caching set from whichever directory
+    // exists. A sharded one answers from the owned shard or the hot
+    // set, or the request goes to the shard owner (one extra short
+    // message); a stale hot entry only costs a disk read at the
+    // service node (its handleForward falls back to disk).
     NodeMask mask;
-    auto answer = _shardDir->lookup(file, mask);
-
-    if (answer == ShardedCacheDirectory::Answer::Unknown) {
+    if (!_shardDir) {
+        mask = _cacheDir.mask(file);
+    } else if (_shardDir->lookup(file, mask) ==
+               ShardedCacheDirectory::Answer::Unknown) {
         // Not our shard and not hot: ask the owner to route the
-        // request (rule 3/4 run there). One extra short message on the
+        // request (rules 3/4 run there). One extra short message on the
         // miss path buys O(F/S) directory state per node.
         int owner = _shardDir->ownerOf(file);
         PRESS_ASSERT(owner != _id, "owned file reported Unknown");
@@ -309,38 +230,30 @@ PressServer::dispatchSharded(FileId file, std::uint32_t tag)
                                 obs::requestId(_id, tag), file);
         if (_forwardsMetric)
             _forwardsMetric->add();
-        _comm.sendForward(
-            owner, ForwardMsg{file, tag, _id, ForwardRoute::Lookup});
+        _comm.send(owner, ForwardMsg{file, tag, _id, ForwardRoute::Lookup});
         noteAwaiting(tag, owner);
         return;
     }
 
-    // Rule 3: authoritative (or hot) answer says nobody caches it.
+    // Rule 3: first access anywhere -> local (brings it into the
+    // cluster cache). Fault mode additionally masks out nodes not
+    // currently believed Alive (the suspect window, before the
+    // directory itself is repaired).
+    if (_faultActive)
+        for (int j = 0; j < _config.nodes; ++j)
+            if (mask.test(j) && !_view->aliveNode(j))
+                mask.clear(j);
     if (mask.none()) {
         decided(obs::DispatchDecision::FirstTouch);
         serveLocal(file, tag, false);
         return;
     }
 
-    // Rule 4 against the local answer; identical to the replicated
-    // logic. A stale hot entry only costs a disk read at the service
-    // node (its handleForward falls back to disk and re-replicates).
-    if (_faultActive) {
-        for (int j = 0; j < _config.nodes; ++j)
-            if (mask.test(j) && !_view->aliveNode(j))
-                mask.clear(j);
-        if (mask.none()) {
-            decided(obs::DispatchDecision::FirstTouch);
-            serveLocal(file, tag, false);
-            return;
-        }
-    }
-    int candidate;
-    if (_config.dissemination.kind == Dissemination::Kind::None) {
-        candidate = randomIn(mask, _rng, _config.nodes);
-    } else {
-        candidate = leastLoadedIn(mask, _loadDir, _config.nodes);
-    }
+    // Rule 4: pick a service node among the caching nodes; without
+    // load information any caching node will do.
+    int candidate = _config.dissemination.kind == Dissemination::Kind::None
+                        ? randomIn(mask, _rng, _config.nodes)
+                        : leastLoadedIn(mask, _loadDir, _config.nodes);
     PRESS_ASSERT(candidate >= 0, "non-empty mask without candidate");
     if (candidate == _id) {
         decided(obs::DispatchDecision::SelfBest);
@@ -348,30 +261,34 @@ PressServer::dispatchSharded(FileId file, std::uint32_t tag)
         return;
     }
 
-    bool forward = true;
-    if (_config.dissemination.kind != Dissemination::Kind::None) {
-        int t = _config.overloadThreshold;
-        if (_loadDir.load(candidate) > t) {
-            int least = _loadDir.leastLoaded();
-            forward = load() > t && _loadDir.load(least) > t;
-        }
-    }
-
-    if (forward) {
+    if (forwardTo(candidate, load())) {
         ++_stats.forwardedOut;
         decided(obs::DispatchDecision::Forward);
         PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
                                 obs::requestId(_id, tag), file);
         if (_forwardsMetric)
             _forwardsMetric->add();
-        _comm.sendForward(
-            candidate, ForwardMsg{file, tag, _id, ForwardRoute::Serve});
+        _comm.send(candidate, ForwardMsg{file, tag});
         noteAwaiting(tag, candidate);
     } else {
         ++_stats.overloadLocalServes;
         decided(obs::DispatchDecision::OverloadLocal);
         serveLocal(file, tag, true);
     }
+}
+
+bool
+PressServer::forwardTo(int candidate, int initial_load) const
+{
+    if (_config.dissemination.kind == Dissemination::Kind::None)
+        return true;
+    int t = _config.overloadThreshold;
+    if (_loadDir.load(candidate) <= t)
+        return true;
+    // Candidate overloaded: forward anyway only when the initial node
+    // and the cluster's least-loaded node are overloaded too; otherwise
+    // the initial node serves, replicating the file.
+    return initial_load > t && _loadDir.load(_loadDir.leastLoaded()) > t;
 }
 
 void
@@ -391,9 +308,8 @@ PressServer::handleDirLookup(int from, const ForwardMsg &msg)
             auto answer = _shardDir->lookup(file, mask);
 
             auto send_home = [&]() {
-                _comm.sendForward(
-                    origin,
-                    ForwardMsg{file, tag, origin, ForwardRoute::Home});
+                _comm.send(origin,
+                           ForwardMsg{file, tag, origin, ForwardRoute::Home});
             };
 
             if (answer != ShardedCacheDirectory::Answer::Owner) {
@@ -443,19 +359,9 @@ PressServer::handleDirLookup(int from, const ForwardMsg &msg)
                 return;
             }
 
-            bool forward = true;
-            if (_config.dissemination.kind != Dissemination::Kind::None) {
-                int t = _config.overloadThreshold;
-                if (_loadDir.load(candidate) > t) {
-                    int least = _loadDir.leastLoaded();
-                    forward = _loadDir.load(origin) > t &&
-                              _loadDir.load(least) > t;
-                }
-            }
-            if (forward)
-                _comm.sendForward(
-                    candidate,
-                    ForwardMsg{file, tag, origin, ForwardRoute::Serve});
+            if (forwardTo(candidate, _loadDir.load(origin)))
+                _comm.send(candidate, ForwardMsg{file, tag, origin,
+                                                 ForwardRoute::Serve});
             else
                 send_home(); // initial node serves and replicates
         });
@@ -683,7 +589,7 @@ PressServer::serviceRemote(int home, FileId file, std::uint32_t tag)
     auto send_back = [this, home, file, size, tag]() {
         PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::ReqService,
                               obs::requestId(home, tag), file);
-        _comm.sendFile(home, FileMsg{file, tag, size});
+        _comm.send(home, FileMsg{file, tag, size});
         // Clamp under fault: a crash zeroes the counter while disk
         // reads for forwarded requests are still in flight.
         if (!_faultActive || _servicingRemote > 0)
@@ -746,8 +652,7 @@ PressServer::insertIntoCache(FileId file)
             if (_shardDir->owns(f))
                 _shardDir->update(_id, f, cached);
             else
-                _comm.sendCaching(_shardDir->ownerOf(f),
-                                  CachingMsg{f, cached});
+                _comm.send(_shardDir->ownerOf(f), CachingMsg{f, cached});
         };
         shard_update(file, true);
         for (const auto &ev : evicted) {
@@ -786,9 +691,9 @@ PressServer::insertIntoCache(FileId file)
     for (int j = 0; j < _config.nodes; ++j) {
         if (j == _id)
             continue;
-        _comm.sendCaching(j, CachingMsg{file, true});
+        _comm.send(j, CachingMsg{file, true});
         for (const auto &ev : evicted)
-            _comm.sendCaching(j, CachingMsg{ev.file, false});
+            _comm.send(j, CachingMsg{ev.file, false});
     }
 }
 
@@ -815,7 +720,7 @@ PressServer::loadChanged()
         for (int j = 0; j < _config.nodes; ++j) {
             if (j == _id)
                 continue;
-            _comm.sendLoad(j, LoadMsg{current});
+            _comm.send(j, LoadMsg{current});
         }
         return;
       }
@@ -842,12 +747,11 @@ void
 PressServer::sendRumor(int dst, const Rumor &rumor)
 {
     if (rumor.isLoad)
-        _comm.sendLoad(
+        _comm.send(
             dst, LoadMsg{rumor.load, rumor.origin, rumor.seq, rumor.hops});
     else
-        _comm.sendCaching(dst, CachingMsg{rumor.file, rumor.cached,
-                                          rumor.origin, rumor.seq,
-                                          rumor.hops});
+        _comm.send(dst, CachingMsg{rumor.file, rumor.cached, rumor.origin,
+                                   rumor.seq, rumor.hops});
 }
 
 void
@@ -986,9 +890,9 @@ PressServer::runGossipRound()
     for (std::size_t i = 0; i < _digestsUsed; ++i) {
         PeerDigest &d = _digestScratch[i];
         if (!d.load.rumors.empty())
-            _comm.sendLoadDigest(d.peer, d.load);
+            _comm.send(d.peer, d.load);
         if (!d.caching.rumors.empty())
-            _comm.sendCachingDigest(d.peer, d.caching);
+            _comm.send(d.peer, d.caching);
     }
     // Re-arm only while rumors are pending: an idle cluster goes
     // quiet and the simulation can drain.
@@ -1296,7 +1200,7 @@ PressServer::disseminateMembership(const MembershipMsg &msg)
         if (dst == _id || dst == msg.subject || !_view->aliveNode(dst))
             return;
         ++_stats.membershipSends;
-        _comm.sendMembership(dst, out);
+        _comm.send(dst, out);
     };
 
     if (_dissem && kind == Kind::Gossip) {
@@ -1355,7 +1259,7 @@ PressServer::reannounceMovedShards(const NodeMask &before,
         if (now_owner == _id)
             _shardDir->update(_id, r.file, true);
         else
-            _comm.sendCaching(now_owner, CachingMsg{r.file, true});
+            _comm.send(now_owner, CachingMsg{r.file, true});
     }
 }
 
@@ -1428,7 +1332,7 @@ PressServer::recoverFromRejoin(int peer)
         m.epoch = _view->epoch(n);
         m.origin = _id;
         m.hops = 1;
-        _comm.sendMembership(peer, m);
+        _comm.send(peer, m);
         ++_stats.membershipSends;
     }
     _loadDir.update(peer, 0);
@@ -1451,7 +1355,7 @@ PressServer::recoverFromRejoin(int peer)
             break;
         ++announced;
         ++_stats.reAnnouncedFiles;
-        _comm.sendCaching(peer, CachingMsg{r.file, true});
+        _comm.send(peer, CachingMsg{r.file, true});
     }
 }
 

@@ -234,12 +234,14 @@ class PressServer
      *  single-node clusters (nothing to tell anyone). */
     enum class LoadPath { Off, PiggyBack, Broadcast, Gossip, Tree };
 
-    /** Distribution decision for a parsed request. */
+    /** Distribution decision for a parsed request (rules 1-4, against
+     *  the replicated or the sharded cache directory). */
     void dispatch(storage::FileId file, std::uint32_t tag);
 
-    /** Rules 3/4 against the sharded cache directory: answer locally
-     *  from the owned shard or hot set, else route via the owner. */
-    void dispatchSharded(storage::FileId file, std::uint32_t tag);
+    /** Rule 4's overload test: forward to @p candidate unless it is
+     *  overloaded while the initial node (at @p initial_load) or the
+     *  cluster's least-loaded node is not. */
+    bool forwardTo(int candidate, int initial_load) const;
 
     /** Shard owner processes a ForwardRoute::Lookup. */
     void handleDirLookup(int from, const ForwardMsg &msg);

@@ -46,26 +46,13 @@ class TcpComm : public ClusterComm
     static void connectMesh(std::vector<std::unique_ptr<TcpComm>> &comms,
                             std::uint64_t sockbuf = 64 * 1024);
 
-    void sendLoad(int dst, const LoadMsg &msg) override;
-    void sendForward(int dst, const ForwardMsg &msg) override;
-    void sendCaching(int dst, const CachingMsg &msg) override;
-    void sendLoadDigest(int dst, const LoadDigestMsg &msg) override;
-    void sendCachingDigest(int dst, const CachingDigestMsg &msg) override;
-    void sendFile(int dst, const FileMsg &msg) override;
-    void sendMembership(int dst, const MembershipMsg &msg) override;
-
-    const tcpnet::TcpStack &stack() const { return _stack; }
+    /** One path for every kind: PRESS's send machinery, then the
+     *  kernel stack. */
+    void send(int dst, WireBody body) override;
 
   private:
-    using Body = decltype(WireMsg::body);
-
-    /** Common send path. */
-    void sendWire(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                  Body body);
-
     void handleArrival(const net::Payload &payload);
 
-    sim::Simulator &_sim;
     int _node;
     sim::FifoResource &_cpu;
     const Calibration &_cal;

@@ -74,8 +74,7 @@ struct ViaComm::Peer {
 ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                  sim::FifoResource &cpu, net::Fabric &fabric,
                  check::ViaChecker *checker)
-    : _sim(sim),
-      _node(node),
+    : _node(node),
       _config(config),
       _cal(_config.calibration),
       _cpu(cpu),
@@ -116,11 +115,10 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                      : check::CheckMode::Abort);
         checker = _ownedChecker.get();
     }
-    _checker = checker;
-    if (_checker) {
-        _checker->attachNic(*_nic);
-        _checker->attachCq(*_recvCq, _node);
-        _checker->attachCq(*_sendCq, _node);
+    if (checker) {
+        checker->attachNic(*_nic);
+        checker->attachCq(*_recvCq, _node);
+        checker->attachCq(*_sendCq, _node);
     }
     _peers.resize(nodes);
     for (int j = 0; j < nodes; ++j) {
@@ -131,16 +129,16 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         Peer *p = peer.get();
         int from = j;
 
-        if (_checker) {
+        if (checker) {
             std::string to = "->" + std::to_string(j);
             p->regularGate.setObserver(
-                _checker->creditHook(_node, "regular" + to));
+                checker->creditHook(_node, "regular" + to));
             p->forwardGate.setObserver(
-                _checker->creditHook(_node, "forward" + to));
+                checker->creditHook(_node, "forward" + to));
             p->cachingGate.setObserver(
-                _checker->creditHook(_node, "caching" + to));
+                checker->creditHook(_node, "caching" + to));
             p->fileGate.setObserver(
-                _checker->creditHook(_node, "file" + to));
+                checker->creditHook(_node, "file" + to));
         }
 
         // Receive-side regions, with write hooks feeding the poll paths.
@@ -201,15 +199,15 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         // Credit returners toward this peer.
         p->regularReturn = std::make_unique<CreditReturner>(
             _config.controlCreditBatch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::Regular);
+                send(from, FlowMsg{n, FlowChannel::Regular});
             });
         p->forwardReturn = std::make_unique<CreditReturner>(
             _config.controlCreditBatch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::Forward);
+                send(from, FlowMsg{n, FlowChannel::Forward});
             });
         p->cachingReturn = std::make_unique<CreditReturner>(
             _config.controlCreditBatch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::Caching);
+                send(from, FlowMsg{n, FlowChannel::Caching});
             });
         // RMW file-ring slots are acknowledged one by one (the slot
         // word is the acknowledgement), matching Table 4's near-1:1
@@ -219,7 +217,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                              : _config.fileCreditBatch;
         p->fileReturn = std::make_unique<CreditReturner>(
             file_batch, [this, from](int n) {
-                returnCredits(from, n, FlowChannel::File);
+                send(from, FlowMsg{n, FlowChannel::File});
             });
 
         _peers[j] = std::move(peer);
@@ -314,6 +312,7 @@ ViaComm::usesRmw(MsgKind kind) const
         return v >= 1;
       case MsgKind::Forward:
       case MsgKind::Caching:
+      case MsgKind::Membership: // rides the caching channel
         return v >= 2;
       case MsgKind::File:
         return v >= 3;
@@ -347,7 +346,7 @@ ViaComm::cacheEvictCost(std::uint64_t bytes) const
 }
 
 sim::Tick
-ViaComm::pollSweepCost() const
+ViaComm::perRequestOverhead() const
 {
     if (static_cast<int>(_config.version) < 2)
         return 0;
@@ -359,304 +358,117 @@ ViaComm::pollSweepCost() const
 // ---------------------------------------------------------------------
 
 void
-ViaComm::sendLoad(int dst, const LoadMsg &msg)
+ViaComm::send(int dst, WireBody body)
 {
-    WireMsg w;
-    w.kind = MsgKind::Load;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    std::uint64_t bytes = _cal.sizes.load;
-    if (msg.origin >= 0)
-        bytes += _cal.sizes.disseminationHeader;
-    // Dissemination rumors are full messages (origin/seq/hops), never
-    // the single overwritable RMW load word — rumors about different
-    // origins must not clobber each other.
-    PRESS_ASSERT(msg.origin < 0 || !usesRmw(MsgKind::Load),
-                 "gossip/tree load rumors cannot use the RMW load word");
-    if (usesRmw(MsgKind::Load))
-        sendRmwWord(dst, MsgKind::Load, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Load, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendLoadDigest(int dst, const LoadDigestMsg &msg)
-{
-    PRESS_ASSERT(!msg.rumors.empty(), "empty load digest");
-    PRESS_ASSERT(!usesRmw(MsgKind::Load),
-                 "gossip digests cannot use the RMW load word");
-    std::uint64_t bytes = 0;
-    for (const LoadMsg &r : msg.rumors) {
-        PRESS_ASSERT(r.origin >= 0, "digest of a non-rumor load");
-        bytes += _cal.sizes.load + _cal.sizes.disseminationHeader;
-    }
-    WireMsg w;
-    w.kind = MsgKind::Load;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    sendRegular(dst, MsgKind::Load, bytes, std::move(w), /*gated=*/true);
-}
-
-void
-ViaComm::sendForward(int dst, const ForwardMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Forward;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    if (usesRmw(MsgKind::Forward))
-        sendRmwControl(dst, MsgKind::Forward, _cal.sizes.forward,
-                       std::move(w));
-    else
-        sendRegular(dst, MsgKind::Forward, _cal.sizes.forward,
-                    std::move(w), /*gated=*/true);
-}
-
-void
-ViaComm::sendCaching(int dst, const CachingMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Caching;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    std::uint64_t bytes = _cal.sizes.caching;
-    if (msg.origin >= 0)
-        bytes += _cal.sizes.disseminationHeader;
-    if (usesRmw(MsgKind::Caching))
-        sendRmwControl(dst, MsgKind::Caching, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Caching, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendCachingDigest(int dst, const CachingDigestMsg &msg)
-{
-    PRESS_ASSERT(!msg.rumors.empty(), "empty caching digest");
-    std::uint64_t bytes = 0;
-    for (const CachingMsg &r : msg.rumors) {
-        PRESS_ASSERT(r.origin >= 0, "digest of a non-rumor caching msg");
-        bytes += _cal.sizes.caching + _cal.sizes.disseminationHeader;
-    }
-    WireMsg w;
-    w.kind = MsgKind::Caching;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    // A ring slot holds one short record: a digest that outgrows it
-    // travels as a regular send, like load digests.
-    std::uint64_t written = bytes + (w.piggyLoad >= 0 ? 4 : 0);
-    if (usesRmw(MsgKind::Caching) && written <= SlotBytes)
-        sendRmwControl(dst, MsgKind::Caching, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Caching, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendFile(int dst, const FileMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::File;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    if (usesRmw(MsgKind::File)) {
-        sendRmwFile(dst, msg.bytes, std::move(w));
-    } else {
-        sendRegular(dst, MsgKind::File,
-                    _cal.sizes.fileHeader + msg.bytes, std::move(w),
-                    /*gated=*/true);
-    }
-}
-
-void
-ViaComm::sendMembership(int dst, const MembershipMsg &msg)
-{
-    WireMsg w;
-    w.kind = MsgKind::Membership;
-    w.from = _node;
-    w.piggyLoad = piggyLoad();
-    w.body = msg;
-    // Same footprint as a caching rumor: a short control record plus
-    // the dissemination header (origin/seq/hops).
-    std::uint64_t bytes =
-        _cal.sizes.caching + _cal.sizes.disseminationHeader;
-    // Rides the caching channel's resources (ring + window) when that
-    // channel is RMW: membership traffic exists only during churn and
-    // must not need rings of its own.
-    if (usesRmw(MsgKind::Caching))
-        sendRmwControl(dst, MsgKind::Membership, bytes, std::move(w));
-    else
-        sendRegular(dst, MsgKind::Membership, bytes, std::move(w),
-                    /*gated=*/true);
-}
-
-void
-ViaComm::sendRegular(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w, bool gated)
-{
+    PRESS_ASSERT(dst >= 0 && dst < _config.nodes && dst != _node,
+                 "bad destination ", dst);
     if (!peerReachable(dst)) {
         countDroppedSend();
         return;
     }
-    Peer &peer = *_peers.at(dst);
-    if (w.piggyLoad >= 0)
-        logical_bytes += 4;
-    recordSend(kind, logical_bytes);
+    Peer &peer = *_peers[static_cast<std::size_t>(dst)];
+    WireMsg w{_node, piggyLoad(), std::move(body)};
+    MsgKind kind = kindOf(w.body);
+    bool rmw = usesRmw(kind);
 
-    sim::Tick cpu_cost = _cal.via.regularSend + copyCost(logical_bytes);
-    auto thunk = [this, &peer, logical_bytes, cpu_cost,
+    if (rmw && (kind == MsgKind::Flow || kind == MsgKind::Load)) {
+        // Word: one overwritable remote word, with no credit and no
+        // piggy-back. Credits land in their channel's word.
+        w.piggyLoad = -1;
+        Address word = peer.rLoadWord;
+        std::uint64_t bytes = _cal.sizes.flowRmw;
+        if (const auto *flow = std::get_if<FlowMsg>(&w.body)) {
+            word = peer.rFlowWords + static_cast<int>(flow->channel) * 8;
+        } else {
+            // Rumors about different origins would clobber each other.
+            const auto *load = std::get_if<LoadMsg>(&w.body);
+            PRESS_ASSERT(load && load->origin < 0,
+                         "gossip/tree load rumors cannot use the RMW "
+                         "load word");
+            bytes = logicalBytes(w, _cal.sizes);
+        }
+        recordSend(kind, bytes);
+        post(peer, nullptr, _cal.via.rmwSendWord,
+             Post{word, _cal.sizes.flowRmw}, std::move(w));
+        return;
+    }
+
+    if (rmw && kind == MsgKind::File) {
+        // Two-record file: data into the large ring, then metadata into
+        // the small one. Both count as File traffic, which is what
+        // doubles the File message count in Table 4.
+        std::uint64_t data = std::get<FileMsg>(w.body).bytes;
+        std::uint64_t meta =
+            _cal.sizes.fileMeta + (w.piggyLoad >= 0 ? PiggyBackBytes : 0);
+        recordSend(kind, data);
+        recordSend(kind, meta);
+        std::uint64_t slot = peer.fileSeq++ % _config.fileWindow;
+        bool zero_copy_tx = _config.version == Version::V5;
+        post(peer, &peer.fileGate,
+             2 * _cal.via.rmwSend + (zero_copy_tx ? 0 : copyCost(data)),
+             Post{peer.rFileMetaRing + slot * SlotBytes, meta,
+                  peer.rFileDataRing + slot * _maxTransfer, data},
+             std::move(w));
+        return;
+    }
+
+    std::uint64_t bytes = logicalBytes(w, _cal.sizes);
+    recordSend(kind, bytes);
+
+    if (rmw && bytes <= SlotBytes) {
+        // Ring: the record goes into the peer's forward or caching ring
+        // slot. A caching digest that outgrows a slot travels as a
+        // regular send instead.
+        bool fwd = kind == MsgKind::Forward;
+        std::uint64_t &seq = fwd ? peer.forwardSeq : peer.cachingSeq;
+        Address ring = fwd ? peer.rForwardRing : peer.rCachingRing;
+        Address slot = ring + (seq++ % _config.controlWindow) * SlotBytes;
+        post(peer, fwd ? &peer.forwardGate : &peer.cachingGate,
+             _cal.via.rmwSend + copyCost(bytes),
+             Post{slot, bytes}, std::move(w));
+        return;
+    }
+
+    // Regular send. Flow messages travel ungated, on the receive
+    // descriptors reserved for them.
+    post(peer, kind == MsgKind::Flow ? nullptr : &peer.regularGate,
+         _cal.via.regularSend + copyCost(bytes),
+         Post{NoAddress, bytes}, std::move(w));
+}
+
+void
+ViaComm::post(Peer &peer, CreditGate *gate, sim::Tick cpu, Post rec,
+              WireMsg w)
+{
+    auto thunk = [this, &peer, cpu, rec,
                   payload = net::makePayload<WireMsg>(std::move(w))]() {
-        _cpu.submit(cpu_cost, CatIntraComm,
-                    [this, &peer, logical_bytes, payload]() {
-                        drainSendCq();
-                        if (!peerReachable(peer.id)) {
-                            countDroppedSend();
-                            return;
-                        }
-                        bool ok = peer.vi->postSend(via::makeSend(
-                            peer.staging.base, logical_bytes, payload));
-                        PRESS_ASSERT(ok, "send queue overflow despite "
-                                         "flow control");
-                    });
+        _cpu.submit(cpu, CatIntraComm, [this, &peer, rec, payload]() {
+            drainSendCq();
+            if (!peerReachable(peer.id)) {
+                countDroppedSend();
+                return;
+            }
+            // File data first, then the record that publishes it; the
+            // same VI delivers them in order.
+            bool ok = true;
+            if (rec.dataAt != NoAddress)
+                ok = peer.vi->postSend(via::makeRdmaWrite(
+                    peer.staging.base, rec.dataBytes, rec.dataAt));
+            ok = peer.vi->postSend(
+                     rec.at == NoAddress
+                         ? via::makeSend(peer.staging.base, rec.bytes,
+                                         payload)
+                         : via::makeRdmaWrite(peer.staging.base,
+                                              rec.bytes, rec.at,
+                                              payload)) &&
+                 ok;
+            PRESS_ASSERT(ok, "VIA post overflow despite flow control");
+        });
     };
-    if (gated)
-        peer.regularGate.acquire(std::move(thunk));
+    if (gate)
+        gate->acquire(std::move(thunk));
     else
         thunk();
-}
-
-void
-ViaComm::sendRmwControl(int dst, MsgKind kind,
-                        std::uint64_t logical_bytes, WireMsg w)
-{
-    if (!peerReachable(dst)) {
-        countDroppedSend();
-        return;
-    }
-    Peer &peer = *_peers.at(dst);
-    if (w.piggyLoad >= 0)
-        logical_bytes += 4;
-    recordSend(kind, logical_bytes);
-
-    CreditGate &gate =
-        kind == MsgKind::Forward ? peer.forwardGate : peer.cachingGate;
-    std::uint64_t &seq =
-        kind == MsgKind::Forward ? peer.forwardSeq : peer.cachingSeq;
-    Address ring = kind == MsgKind::Forward ? peer.rForwardRing
-                                            : peer.rCachingRing;
-    Address slot = ring + (seq++ % _config.controlWindow) * SlotBytes;
-
-    gate.acquire([this, &peer, slot, logical_bytes,
-                  payload = net::makePayload<WireMsg>(std::move(w))]() {
-        _cpu.submit(_cal.via.rmwSend + copyCost(logical_bytes),
-                    CatIntraComm, [this, &peer, slot, logical_bytes,
-                                   payload]() {
-                        drainSendCq();
-                        if (!peerReachable(peer.id)) {
-                            countDroppedSend();
-                            return;
-                        }
-                        bool ok = peer.vi->postSend(via::makeRdmaWrite(
-                            peer.staging.base, logical_bytes, slot,
-                            payload));
-                        PRESS_ASSERT(ok, "ring write overflow despite "
-                                         "flow control");
-                    });
-    });
-}
-
-void
-ViaComm::sendRmwWord(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w)
-{
-    if (!peerReachable(dst)) {
-        countDroppedSend();
-        return;
-    }
-    Peer &peer = *_peers.at(dst);
-    recordSend(kind, logical_bytes);
-
-    Address target;
-    if (kind == MsgKind::Load) {
-        target = peer.rLoadWord;
-    } else {
-        const auto *flow = std::get_if<FlowMsg>(&w.body);
-        PRESS_ASSERT(flow, "sendRmwWord without FlowMsg body");
-        target = peer.rFlowWords +
-                 static_cast<int>(flow->channel) * 8;
-    }
-
-    // Overwritable word: no flow control, tiny post cost.
-    _cpu.submit(_cal.via.rmwSendWord, CatIntraComm,
-                [this, &peer, target,
-                 payload = net::makePayload<WireMsg>(std::move(w))]() {
-                    drainSendCq();
-                    if (!peerReachable(peer.id)) {
-                        countDroppedSend();
-                        return;
-                    }
-                    bool ok = peer.vi->postSend(via::makeRdmaWrite(
-                        peer.staging.base, 4, target, payload));
-                    PRESS_ASSERT(ok, "word write overflow");
-                });
-}
-
-void
-ViaComm::sendRmwFile(int dst, std::uint64_t file_bytes, WireMsg w)
-{
-    if (!peerReachable(dst)) {
-        countDroppedSend();
-        return;
-    }
-    Peer &peer = *_peers.at(dst);
-    bool zero_copy_tx = _config.version == Version::V5;
-
-    std::uint64_t meta_bytes = _cal.sizes.fileMeta;
-    if (w.piggyLoad >= 0)
-        meta_bytes += 4;
-    // Two messages per file (data + metadata): both counted as File
-    // traffic, which is what doubles the message count in Table 4.
-    recordSend(MsgKind::File, file_bytes);
-    recordSend(MsgKind::File, meta_bytes);
-
-    std::uint64_t slot = peer.fileSeq++ % _config.fileWindow;
-    Address data_addr = peer.rFileDataRing + slot * _maxTransfer;
-    Address meta_addr = peer.rFileMetaRing + slot * SlotBytes;
-
-    sim::Tick cpu_cost = 2 * _cal.via.rmwSend +
-                         (zero_copy_tx ? 0 : copyCost(file_bytes));
-
-    peer.fileGate.acquire([this, &peer, data_addr, meta_addr, file_bytes,
-                           meta_bytes, cpu_cost,
-                           payload =
-                               net::makePayload<WireMsg>(std::move(w))]() {
-        _cpu.submit(cpu_cost, CatIntraComm,
-                    [this, &peer, data_addr, meta_addr, file_bytes,
-                     meta_bytes, payload]() {
-                        drainSendCq();
-                        if (!peerReachable(peer.id)) {
-                            countDroppedSend();
-                            return;
-                        }
-                        // Data first, then metadata; same VI, so VIA's
-                        // in-order delivery publishes them in order.
-                        bool ok1 = peer.vi->postSend(via::makeRdmaWrite(
-                            peer.staging.base, file_bytes, data_addr));
-                        bool ok2 = peer.vi->postSend(via::makeRdmaWrite(
-                            peer.staging.base, meta_bytes, meta_addr,
-                            payload));
-                        PRESS_ASSERT(ok1 && ok2,
-                                     "file write overflow despite "
-                                     "flow control");
-                    });
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -719,7 +531,7 @@ ViaComm::processRegular(via::DescriptorPtr desc,
     net::Payload payload = desc->payload;
     const auto *w = net::payloadAs<WireMsg>(payload);
     PRESS_ASSERT(w, "foreign payload on PRESS VI");
-    MsgKind kind = w->kind;
+    MsgKind kind = kindOf(w->body);
     std::uint64_t bytes = desc->bytesDone;
     PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommRecv, 0,
                         obs::packKindBytes(static_cast<int>(kind), bytes));
@@ -761,11 +573,12 @@ ViaComm::consumeRmwControl(int from, const net::Payload &payload)
                 [this, &peer, payload]() {
                     const auto *w = net::payloadAs<WireMsg>(payload);
                     PRESS_ASSERT(w, "bad ring payload");
+                    MsgKind kind = kindOf(w->body);
                     PRESS_TRACE_INSTANT(
                         _tracer, _traceNode, obs::Ev::CommRmwWrite, 0,
-                        obs::packKindBytes(static_cast<int>(w->kind), 0));
+                        obs::packKindBytes(static_cast<int>(kind), 0));
                     deliver(toIncoming(*w, payload));
-                    if (w->kind == MsgKind::Forward)
+                    if (kind == MsgKind::Forward)
                         peer.forwardReturn->consumed();
                     else
                         peer.cachingReturn->consumed();
@@ -806,23 +619,6 @@ ViaComm::fileBufferDone(int from)
     if (static_cast<int>(_config.version) < 4)
         return; // slot was released when the receive copy finished
     _peers.at(from)->fileReturn->consumed();
-}
-
-void
-ViaComm::returnCredits(int dst, int n, FlowChannel channel)
-{
-    WireMsg w;
-    w.kind = MsgKind::Flow;
-    w.from = _node;
-    w.body = FlowMsg{n, channel};
-    if (usesRmw(MsgKind::Flow)) {
-        w.piggyLoad = -1; // a bare word carries no piggy-back
-        sendRmwWord(dst, MsgKind::Flow, _cal.sizes.flowRmw, std::move(w));
-    } else {
-        w.piggyLoad = piggyLoad();
-        sendRegular(dst, MsgKind::Flow, _cal.sizes.flowRegular,
-                    std::move(w), /*gated=*/false);
-    }
 }
 
 void

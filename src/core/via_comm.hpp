@@ -81,13 +81,16 @@ class ViaComm : public ClusterComm
     /** Also instruments the credit gates' stall paths. */
     void setTracer(obs::Tracer *tracer, int node) override;
 
-    void sendLoad(int dst, const LoadMsg &msg) override;
-    void sendForward(int dst, const ForwardMsg &msg) override;
-    void sendCaching(int dst, const CachingMsg &msg) override;
-    void sendLoadDigest(int dst, const LoadDigestMsg &msg) override;
-    void sendCachingDigest(int dst, const CachingDigestMsg &msg) override;
-    void sendFile(int dst, const FileMsg &msg) override;
-    void sendMembership(int dst, const MembershipMsg &msg) override;
+    /**
+     * Table 3 as one decision on the kind, feeding post():
+     *  - word: flow credits, and loads when dissemination.useRmw;
+     *  - two-record file: V3 and later;
+     *  - ring: forward, caching and membership (on the caching channel)
+     *    when the version puts the channel on RMW and the record fits
+     *    one slot;
+     *  - regular send: everything else.
+     */
+    void send(int dst, WireBody body) override;
     void fileBufferDone(int from) override;
 
     // Fault transitions (see ClusterComm): VI teardown/revival plus
@@ -105,41 +108,37 @@ class ViaComm : public ClusterComm
      * (one sequence-number probe per peer); grows with the cluster size,
      * as Section 2.2 warns.
      */
-    sim::Tick pollSweepCost() const;
-
-    sim::Tick
-    perRequestOverhead() const override
-    {
-        return pollSweepCost();
-    }
-
-    const via::ViaNic &nic() const { return *_nic; }
-    Version version() const { return _config.version; }
-
-    /** The attached invariant checker (null when checking is off). */
-    const check::ViaChecker *checker() const { return _checker; }
+    sim::Tick perRequestOverhead() const override;
 
   private:
     struct Peer;
 
+    /** Post target of a regular send, and of an absent data record. */
+    static constexpr via::Address NoAddress = ~via::Address{0};
+
+    /**
+     * What one post writes: an optional file-data record, then the
+     * message record, a remote write at `at` or a regular send when
+     * `at` is NoAddress.
+     */
+    struct Post {
+        via::Address at;
+        std::uint64_t bytes;
+        via::Address dataAt = NoAddress;
+        std::uint64_t dataBytes = 0;
+    };
+
     /** True when @p kind travels as a remote memory write under the
-     *  configured version. */
+     *  configured version (Table 3). */
     bool usesRmw(MsgKind kind) const;
 
-    /** Send a regular two-sided message (optionally flow-controlled). */
-    void sendRegular(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w, bool gated);
-
-    /** Write a control message into the peer's ring for @p kind. */
-    void sendRmwControl(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                        WireMsg w);
-
-    /** Write a single overwritable word (flow credits / load). */
-    void sendRmwWord(int dst, MsgKind kind, std::uint64_t logical_bytes,
-                     WireMsg w);
-
-    /** The two-message RMW file transfer. */
-    void sendRmwFile(int dst, std::uint64_t logical_bytes, WireMsg w);
+    /**
+     * The one post routine: wait for a credit on @p gate (none when
+     * null), charge @p cpu, then, if the peer is still reachable, post
+     * @p rec on its VI.
+     */
+    void post(Peer &peer, CreditGate *gate, sim::Tick cpu, Post rec,
+              WireMsg w);
 
     /** Receive-thread drain loop for regular messages. */
     void armRecvThread();
@@ -155,8 +154,7 @@ class ViaComm : public ClusterComm
     /** Process a regular-message completion. */
     void processRegular(via::DescriptorPtr desc, via::VirtualInterface *vi);
 
-    /** Credit-return helpers. */
-    void returnCredits(int dst, int n, FlowChannel channel);
+    /** A credit word or Flow message arrived from @p from. */
     void creditArrived(int from, const FlowMsg &flow);
 
     /** Discard queued sends toward @p peer and restore full windows
@@ -168,14 +166,12 @@ class ViaComm : public ClusterComm
 
     sim::Tick copyCost(std::uint64_t bytes) const;
 
-    sim::Simulator &_sim;
     int _node;
     PressConfig _config;
     const Calibration &_cal;
     sim::FifoResource &_cpu;
     std::unique_ptr<via::ViaNic> _nic;
     std::unique_ptr<check::ViaChecker> _ownedChecker;
-    check::ViaChecker *_checker = nullptr;
     std::unique_ptr<via::CompletionQueue> _recvCq;
     std::unique_ptr<via::CompletionQueue> _sendCq;
     std::vector<std::unique_ptr<Peer>> _peers; ///< indexed by node id

@@ -7,8 +7,9 @@
 #ifndef PRESS_CORE_WIRE_HPP
 #define PRESS_CORE_WIRE_HPP
 
-#include <variant>
+#include <cstdint>
 
+#include "core/calibration.hpp"
 #include "core/messages.hpp"
 #include "net/payload.hpp"
 
@@ -16,13 +17,23 @@ namespace press::core {
 
 /** What actually travels between nodes in the simulation. */
 struct WireMsg {
-    MsgKind kind = MsgKind::NumKinds;
     int from = -1;
     int piggyLoad = -1;
-    std::variant<LoadMsg, FlowMsg, ForwardMsg, CachingMsg, FileMsg,
-                 LoadDigestMsg, CachingDigestMsg, MembershipMsg>
-        body;
+    WireBody body;
 };
+
+/** Bytes a piggy-backed load adds to the message that carries it. */
+constexpr std::uint64_t PiggyBackBytes = 4;
+
+/**
+ * The Table-2 size of @p w, the only code that computes one: the
+ * body's base size, +disseminationHeader on a gossip/tree rumor
+ * (origin >= 0), a digest as the sum of its rumors, a file as its
+ * header plus data, and +PiggyBackBytes when a load rides along. VIA
+ * sizes the two records whose wire size differs itself: the credit
+ * word and the two-record file.
+ */
+std::uint64_t logicalBytes(const WireMsg &w, const MessageSizes &sizes);
 
 /** Build the Incoming view the server sees. @p wire_payload must hold
  *  the WireMsg @p w describes. */
@@ -30,7 +41,7 @@ inline Incoming
 toIncoming(const WireMsg &w, net::Payload wire_payload)
 {
     Incoming in;
-    in.kind = w.kind;
+    in.kind = kindOf(w.body);
     in.from = w.from;
     in.piggyLoad = w.piggyLoad;
     in.body = std::move(wire_payload);

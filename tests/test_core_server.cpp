@@ -30,36 +30,17 @@ class FakeComm : public ClusterComm
     std::vector<Sent> sent;
 
     void
-    sendLoad(int dst, const LoadMsg &m) override
+    send(int dst, WireBody body) override
     {
-        record(dst, MsgKind::Load, m);
-    }
-    void
-    sendForward(int dst, const ForwardMsg &m) override
-    {
-        record(dst, MsgKind::Forward, m);
-    }
-    void
-    sendCaching(int dst, const CachingMsg &m) override
-    {
-        record(dst, MsgKind::Caching, m);
-    }
-    void
-    sendFile(int dst, const FileMsg &m) override
-    {
-        record(dst, MsgKind::File, m);
+        MsgKind kind = kindOf(body);
+        sent.push_back(Sent{dst, kind, WireMsg{-1, -1, std::move(body)}});
     }
 
     /** Inject a message as if it arrived from @p from. */
-    template <typename T>
     void
-    inject(MsgKind kind, int from, T body, int piggy = -1)
+    inject(int from, WireBody body, int piggy = -1)
     {
-        WireMsg w;
-        w.kind = kind;
-        w.from = from;
-        w.piggyLoad = piggy;
-        w.body = std::move(body);
+        WireMsg w{from, piggy, std::move(body)};
         auto payload = net::makePayload<WireMsg>(w);
         deliver(toIncoming(*net::payloadAs<WireMsg>(payload), payload));
     }
@@ -71,18 +52,6 @@ class FakeComm : public ClusterComm
         for (const auto &s : sent)
             c += s.kind == kind;
         return c;
-    }
-
-  private:
-    template <typename T>
-    void
-    record(int dst, MsgKind kind, T body)
-    {
-        WireMsg w;
-        w.kind = kind;
-        w.from = -1;
-        w.body = std::move(body);
-        sent.push_back(Sent{dst, kind, std::move(w)});
     }
 };
 
@@ -154,7 +123,7 @@ TEST(ServerPolicy, RemoteCachedFileIsForwarded)
 {
     ServerRig rig;
     // Node 2 announces it caches file 1.
-    rig.comm.inject(MsgKind::Caching, 2, CachingMsg{1, true});
+    rig.comm.inject(2, CachingMsg{1, true});
     rig.request(1);
     rig.sim.run();
     ASSERT_EQ(rig.comm.count(MsgKind::Forward), 1);
@@ -167,13 +136,13 @@ TEST(ServerPolicy, RemoteCachedFileIsForwarded)
 TEST(ServerPolicy, FileArrivalCompletesForwardedRequest)
 {
     ServerRig rig;
-    rig.comm.inject(MsgKind::Caching, 2, CachingMsg{1, true});
+    rig.comm.inject(2, CachingMsg{1, true});
     rig.request(1);
     rig.sim.run();
     ASSERT_EQ(rig.comm.count(MsgKind::Forward), 1);
     const auto *fwd = std::get_if<ForwardMsg>(&rig.comm.sent[0].msg.body);
     ASSERT_TRUE(fwd);
-    rig.comm.inject(MsgKind::File, 2, FileMsg{1, fwd->tag, 20000});
+    rig.comm.inject(2, FileMsg{1, fwd->tag, 20000});
     rig.sim.run();
     ASSERT_EQ(rig.replies.size(), 1u);
     EXPECT_EQ(rig.replies[0],
@@ -188,7 +157,7 @@ TEST(ServerPolicy, LargeFilesAlwaysLocal)
     ServerRig rig;
     // File 3 is 600 KB >= the 512 KB cutoff; even though node 1 caches
     // it, the initial node serves it itself.
-    rig.comm.inject(MsgKind::Caching, 1, CachingMsg{3, true});
+    rig.comm.inject(1, CachingMsg{3, true});
     rig.request(3);
     rig.sim.run();
     EXPECT_EQ(rig.comm.count(MsgKind::Forward), 0);
@@ -204,8 +173,8 @@ TEST(ServerPolicy, OverloadedCandidateServedLocallyCreatesReplica)
     ServerRig rig;
     // Node 2 caches file 1 but reports load above T=80; this node and
     // the least-loaded node are idle, so PRESS replicates locally.
-    rig.comm.inject(MsgKind::Caching, 2, CachingMsg{1, true});
-    rig.comm.inject(MsgKind::Load, 2, LoadMsg{100});
+    rig.comm.inject(2, CachingMsg{1, true});
+    rig.comm.inject(2, LoadMsg{100});
     rig.request(1);
     rig.sim.run();
     EXPECT_EQ(rig.comm.count(MsgKind::Forward), 0);
@@ -216,9 +185,9 @@ TEST(ServerPolicy, OverloadedCandidateServedLocallyCreatesReplica)
 TEST(ServerPolicy, AllOverloadedStillForwards)
 {
     ServerRig rig;
-    rig.comm.inject(MsgKind::Caching, 2, CachingMsg{1, true});
+    rig.comm.inject(2, CachingMsg{1, true});
     for (int n = 1; n < 4; ++n)
-        rig.comm.inject(MsgKind::Load, n, LoadMsg{200});
+        rig.comm.inject(n, LoadMsg{200});
     // Drive this node's own load above T with many open requests; the
     // request for file 1 parses last, while they are all still open.
     for (int i = 0; i < 100; ++i)
@@ -233,7 +202,7 @@ TEST(ServerPolicy, ForwardedRequestServedAndFileSentBack)
     ServerRig rig;
     // A forward arrives for file 0 (not yet cached here): disk read,
     // cache insert, file sent back to the requester.
-    rig.comm.inject(MsgKind::Forward, 3, ForwardMsg{0, 42});
+    rig.comm.inject(3, ForwardMsg{0, 42});
     rig.sim.run();
     ASSERT_EQ(rig.comm.count(MsgKind::File), 1);
     const auto &sent = rig.comm.sent.back();
@@ -251,7 +220,7 @@ TEST(ServerPolicy, ForwardedRequestServedAndFileSentBack)
 TEST(ServerPolicy, PiggyLoadUpdatesDirectory)
 {
     ServerRig rig;
-    rig.comm.inject(MsgKind::Caching, 1, CachingMsg{0, true}, 33);
+    rig.comm.inject(1, CachingMsg{0, true}, 33);
     EXPECT_EQ(rig.server->loadDirectory().load(1), 33);
 }
 
@@ -276,9 +245,9 @@ TEST(ServerPolicy, ThresholdSuppressesBroadcasts)
 TEST(ServerPolicy, NlbForwardsWithoutLoadInfo)
 {
     ServerRig rig(Dissemination::none());
-    rig.comm.inject(MsgKind::Caching, 2, CachingMsg{1, true});
+    rig.comm.inject(2, CachingMsg{1, true});
     // Candidate "overloaded" — NLB ignores load entirely and forwards.
-    rig.comm.inject(MsgKind::Load, 2, LoadMsg{1000});
+    rig.comm.inject(2, LoadMsg{1000});
     rig.request(1);
     rig.sim.run();
     EXPECT_EQ(rig.comm.count(MsgKind::Forward), 1);
