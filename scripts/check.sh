@@ -10,7 +10,8 @@
 #   (d) trace determinism: PRESS_TRACE=1 Figure-1 runs must export
 #       byte-identical traces for --jobs 1 vs --jobs 4 and across
 #       reruns, pass the span-vs-counter cross-check, and produce
-#       valid Chrome JSON (see docs/observability.md)
+#       valid Chrome JSON; two VIA-V5 request_trace runs must print
+#       and export the same bytes (see docs/observability.md)
 #   (e) races: the determinism race hunt — press_races reruns the
 #       golden scenarios under K seeded equal-tick permutations and
 #       checks every cross-domain edge against its lookahead bound;
@@ -98,7 +99,7 @@ stage_tsan() {
 stage_trace() {
     cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
     cmake --build build -j "$(nproc)" --target \
-        fig1_time_breakdown press_trace
+        fig1_time_breakdown press_trace request_trace
     rm -rf build/trace-j1 build/trace-j4a build/trace-j4b
     # Three identical Figure-1 sweeps: sequential, parallel, and a
     # parallel rerun. The exported traces must be byte-identical —
@@ -120,6 +121,19 @@ stage_trace() {
     for f in build/trace-j1/*.ptrace; do
         ./build/tools/press_trace check "$f"
     done
+    # Figure 1's cells are all TCP/FE. A VIA-V5 run adds the
+    # comm.stalls metric row, remote-write and credit events: two runs
+    # in empty directories must print and export the same bytes.
+    rm -rf build/trace-via-a build/trace-via-b
+    for d in build/trace-via-a build/trace-via-b; do
+        mkdir -p "$d"
+        ( cd "$d" && ../examples/request_trace 20000 > stdout.txt )
+    done
+    diff -r build/trace-via-a build/trace-via-b
+    echo "VIA-V5 request_trace byte-identical across reruns"
+    ./build/tools/press_trace jsoncheck \
+        build/trace-via-a/request_trace.trace.json
+    ./build/tools/press_trace check build/trace-via-a/request_trace.ptrace
 }
 
 stage_races() {

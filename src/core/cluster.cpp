@@ -396,6 +396,19 @@ constexpr std::uint64_t WordSessionEnd = 8;
 constexpr std::uint64_t WordInSession = 16;
 } // namespace
 
+std::uint64_t
+PressCluster::openShape(storage::FileId &file, std::uint64_t k)
+{
+    if (_population)
+        file = _rankToFile[_population->sampleRank(
+            _sim.now() - _measureStart, k)];
+    bool dynamic = _config.traffic.dynamicFraction > 0 &&
+                   traffic::unitFromHash(traffic::mix64(
+                       _config.seed ^ 0xC1A55F1EDull ^ (k + 1))) <
+                       _config.traffic.dynamicFraction;
+    return dynamic ? WordDynamic : 0;
+}
+
 void
 PressCluster::openArrival()
 {
@@ -411,15 +424,7 @@ PressCluster::openArrival()
         ++_dropped;
         return;
     }
-    if (_population)
-        file = _rankToFile[_population->sampleRank(
-            _sim.now() - _measureStart, k)];
-    std::uint64_t word = 0;
-    if (_config.traffic.dynamicFraction > 0 &&
-        traffic::unitFromHash(traffic::mix64(
-            _config.seed ^ 0xC1A55F1EDull ^ (k + 1))) <
-            _config.traffic.dynamicFraction)
-        word |= WordDynamic;
+    std::uint64_t word = openShape(file, k);
 
     if (_sessionModel) {
         std::uint32_t sid = _sessionSeq++;
@@ -499,16 +504,9 @@ PressCluster::openSessionIssue(std::uint32_t sid)
     }
     std::uint64_t k = _openSeq++;
     ++_offered;
-    if (_population)
-        file = _rankToFile[_population->sampleRank(
-            _sim.now() - _measureStart, k)];
-    std::uint64_t word = WordInSession | WordKeepAlive |
+    std::uint64_t word = openShape(file, k) | WordInSession |
+                         WordKeepAlive |
                          (static_cast<std::uint64_t>(sid) << 32);
-    if (_config.traffic.dynamicFraction > 0 &&
-        traffic::unitFromHash(traffic::mix64(
-            _config.seed ^ 0xC1A55F1EDull ^ (k + 1))) <
-            _config.traffic.dynamicFraction)
-        word |= WordDynamic;
     if (s.done + 1 >= s.length)
         word |= WordSessionEnd;
     openIssue(file, s.node, word);
@@ -658,26 +656,32 @@ PressCluster::lardPick(storage::FileId file)
     return best;
 }
 
+std::optional<bool>
+PressCluster::acceptRequest(storage::FileId file, const net::Payload &wire)
+{
+    const auto *text = net::payloadAs<std::string>(wire);
+    PRESS_ASSERT(text, "client sent a non-HTTP payload");
+    auto parsed = http::parseRequest(*text);
+    if (parsed) {
+        auto split = http::splitTarget(parsed.request->target);
+        auto resolved = split ? _site.resolve(split->path) : std::nullopt;
+        if (resolved && *resolved == file)
+            return parsed.request->keepAlive();
+    }
+    ++_badRequests;
+    return std::nullopt;
+}
+
 void
 PressCluster::frontEndRoute(storage::FileId file,
                             const net::Payload &wire, ClientSlot *slot)
 {
     // The front-end is content-aware: it parses the request before
     // picking a back-end (that is the whole point of LARD).
-    const auto *text = net::payloadAs<std::string>(wire);
-    PRESS_ASSERT(text, "client sent a non-HTTP payload");
-    auto parsed = http::parseRequest(*text);
-    if (!parsed) {
-        ++_badRequests;
+    std::optional<bool> accepted = acceptRequest(file, wire);
+    if (!accepted)
         return;
-    }
-    auto split = http::splitTarget(parsed.request->target);
-    auto resolved = split ? _site.resolve(split->path) : std::nullopt;
-    if (!resolved || *resolved != file) {
-        ++_badRequests;
-        return;
-    }
-    bool keep_alive = parsed.request->keepAlive();
+    bool keep_alive = *accepted;
     std::uint64_t req_bytes = _requestWireBytes[file];
 
     _feCpu->submit(_config.lardRouteCost, 0, [this, file, keep_alive,
@@ -719,20 +723,10 @@ PressCluster::requestArrived(int node, storage::FileId file,
     // Ingress: parse the request text and resolve the path, exactly as
     // the real server's accept path would (the simulated cost of this
     // work is the parse step mu_p charged inside handleClientRequest).
-    const auto *text = net::payloadAs<std::string>(wire);
-    PRESS_ASSERT(text, "client sent a non-HTTP payload");
-    auto parsed = http::parseRequest(*text);
-    if (!parsed) {
-        ++_badRequests;
+    std::optional<bool> accepted = acceptRequest(file, wire);
+    if (!accepted)
         return;
-    }
-    auto split = http::splitTarget(parsed.request->target);
-    auto resolved = split ? _site.resolve(split->path) : std::nullopt;
-    if (!resolved || *resolved != file) {
-        ++_badRequests;
-        return;
-    }
-    bool keep_alive = parsed.request->keepAlive();
+    bool keep_alive = *accepted;
 
     RequestOptions opts;
     if (open_word != 0) {
@@ -940,6 +934,48 @@ PressCluster::setupFaults()
     _sim.setCurrentDomain(sim::NoDomain);
 }
 
+void
+PressCluster::writeMetrics(std::vector<obs::MetricSample> &rows) const
+{
+    // One name: a row per node, then the cluster row (the sum, or the
+    // max for a high-water mark). Names come in the order .ptrace files
+    // carry them: counts, then high-water marks, then sample counts,
+    // each group sorted by name.
+    auto add = [&](const char *name, bool peak, auto value) {
+        std::uint64_t cluster = 0;
+        for (int i = 0; i < _config.nodes; ++i) {
+            std::uint64_t v = value(i);
+            rows.push_back({name, i, v});
+            cluster = peak ? std::max(cluster, v) : cluster + v;
+        }
+        rows.push_back({name, -1, cluster});
+    };
+    auto tx = [this](int i) -> const CommStats & {
+        return _comms[i]->txStats();
+    };
+    auto srv = [this](int i) -> const ServerStats & {
+        return _servers[i]->stats();
+    };
+    if (_config.protocol == Protocol::ViaClan)
+        add("comm.stalls", false, [&](int i) { return tx(i).stalls; });
+    add("comm.tx.bytes", false, [&](int i) { return tx(i).total().bytes; });
+    add("comm.tx.msgs", false, [&](int i) { return tx(i).total().msgs; });
+    add("server.forwards", false,
+        [&](int i) { return srv(i).forwardedOut; });
+    add("server.replies", false, [&](int i) { return srv(i).replies; });
+    add("server.requests", false, [&](int i) { return srv(i).requests; });
+    add("cpu.queue_depth", true, [&](int i) -> std::uint64_t {
+        return _nodes[i]->cpu().maxDepth();
+    });
+    add("disk.queue_depth", true, [&](int i) -> std::uint64_t {
+        return _nodes[i]->disk().resource().maxDepth();
+    });
+    add("disk.read_ns", false,
+        [&](int i) { return _nodes[i]->disk().reads(); });
+    add("server.latency_ns", false,
+        [&](int i) { return srv(i).latencyHist.count(); });
+}
+
 ClusterResults
 PressCluster::run(std::uint64_t max_requests)
 {
@@ -1082,6 +1118,7 @@ PressCluster::run(std::uint64_t max_requests)
             r.comm.byKind[k].msgs += tx.byKind[k].msgs;
             r.comm.byKind[k].bytes += tx.byKind[k].bytes;
         }
+        r.comm.stalls += tx.stalls;
     }
 
     if (_faultEnabled) {
@@ -1161,6 +1198,7 @@ PressCluster::run(std::uint64_t max_requests)
         for (int i = 0; i < _config.nodes; ++i)
             for (int c = 0; c < osnode::NumCpuCategories; ++c)
                 trace->counterBusy[i][c] = _nodes[i]->cpu().busyTime(c);
+        writeMetrics(trace->metrics);
         r.trace = std::move(trace);
     }
 

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -159,6 +160,7 @@ class PressCluster
     sim::Simulator &simulator() { return _sim; }
     PressServer &server(int i) { return *_servers.at(i); }
     ClusterComm &comm(int i) { return *_comms.at(i); }
+    osnode::Node &node(int i) { return *_nodes.at(i); }
     const PressConfig &config() const { return _config; }
     net::Fabric &internalFabric() { return *_internal; }
     net::Fabric &externalFabric() { return *_external; }
@@ -203,13 +205,23 @@ class PressCluster
     void requestArrived(int node, storage::FileId file,
                         const net::Payload &wire, ClientSlot *slot,
                         std::uint32_t gen, std::uint64_t open_word = 0);
+    /** Parse the request text on @p wire and check that its path
+     *  resolves to @p file. @return its keep-alive flag; nullopt, with
+     *  one more bad request counted, when either step fails. */
+    std::optional<bool> acceptRequest(storage::FileId file,
+                                      const net::Payload &wire);
     void resetForMeasurement();
+    /** The trace's metric rows, read from the always-on counters. */
+    void writeMetrics(std::vector<obs::MetricSample> &rows) const;
 
     // --- open-loop traffic engine ------------------------------------
 
     /** One engine arrival: consume the feed budget, apply the drop cap,
      *  redraw popularity, pick the class, start a session or issue. */
     void openArrival();
+    /** Engine request @p k's draws: the popularity redraw replaces
+     *  @p file; the class draw is returned as its word bit. */
+    std::uint64_t openShape(storage::FileId &file, std::uint64_t k);
     /** Put one shaped request on the external wire toward @p node. */
     void openIssue(storage::FileId file, int node, std::uint64_t word);
     /** A session request's reply landed: finish or schedule the next

@@ -13,11 +13,4 @@ CommStats::total() const
     return t;
 }
 
-void
-CommStats::reset()
-{
-    for (auto &k : byKind)
-        k = KindStats{};
-}
-
 } // namespace press::core

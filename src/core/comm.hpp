@@ -38,9 +38,11 @@ struct KindStats {
     }
 };
 
-/** All five kinds plus totals. */
+/** All five kinds plus totals, and the sends that waited for a
+ *  flow-control credit. */
 struct CommStats {
     std::array<KindStats, static_cast<int>(MsgKind::NumKinds)> byKind;
+    std::uint64_t stalls = 0; ///< sends queued on an empty credit window
 
     KindStats &
     of(MsgKind k)
@@ -54,7 +56,7 @@ struct CommStats {
     }
 
     KindStats total() const;
-    void reset();
+    void reset() { *this = CommStats{}; }
 };
 
 /** Upcall for messages arriving from other nodes. */
@@ -158,24 +160,13 @@ class ClusterComm
     const CommStats &txStats() const { return _tx; }
     CommStats &txStats() { return _tx; }
 
-    /**
-     * Attach the observability hub (null detaches); @p node is this
-     * end's node id. Backends override to instrument their internals
-     * (receive paths, credit arrivals, stalls) but must call the base.
-     */
-    virtual void
+    /** Attach the observability hub (null detaches); @p node is this
+     *  end's node id. */
+    void
     setTracer(obs::Tracer *tracer, int node)
     {
         _tracer = tracer;
         _traceNode = node;
-        if (tracer) {
-            _txMsgsMetric = &tracer->metrics().counter("comm.tx.msgs", node);
-            _txBytesMetric =
-                &tracer->metrics().counter("comm.tx.bytes", node);
-        } else {
-            _txMsgsMetric = nullptr;
-            _txBytesMetric = nullptr;
-        }
     }
 
   protected:
@@ -189,10 +180,6 @@ class ClusterComm
         PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommSend, 0,
                             obs::packKindBytes(static_cast<int>(kind),
                                                bytes));
-        if (_txMsgsMetric) {
-            _txMsgsMetric->add();
-            _txBytesMetric->add(bytes);
-        }
     }
 
     /** Deliver an arrived message to the server. */
@@ -245,8 +232,6 @@ class ClusterComm
     CommStats _tx;
     obs::Tracer *_tracer = nullptr;
     int _traceNode = 0;
-    obs::Counter *_txMsgsMetric = nullptr;
-    obs::Counter *_txBytesMetric = nullptr;
     std::vector<char> _peerAlive; ///< empty = everyone alive
     bool _selfDown = false;
     std::uint64_t _droppedSends = 0;

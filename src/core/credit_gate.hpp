@@ -13,7 +13,6 @@
 #ifndef PRESS_CORE_CREDIT_GATE_HPP
 #define PRESS_CORE_CREDIT_GATE_HPP
 
-#include <cstdint>
 #include <functional>
 
 #include "sim/inline_fn.hpp"
@@ -34,9 +33,6 @@ class CreditGate
      */
     using Observer = std::function<void(int credits, int window)>;
 
-    /** Fires once per stalled acquire (the tracing hook). */
-    using StallObserver = std::function<void()>;
-
     /**
      * Gated send thunk. Wider than sim::EventFn because the comm
      * backends capture a full post context (peer, ring addresses,
@@ -52,7 +48,7 @@ class CreditGate
 
     /**
      * Run @p thunk now if a credit is free (consuming it), else queue it.
-     * @return true when it ran immediately.
+     * @return true when it ran immediately, false when it stalled.
      */
     bool
     acquire(Thunk thunk)
@@ -63,9 +59,6 @@ class CreditGate
             thunk();
             return true;
         }
-        ++_stalls;
-        if (_onStall)
-            _onStall();
         _waiting.push_back(std::move(thunk));
         return false;
     }
@@ -93,13 +86,6 @@ class CreditGate
     /** Attach a mutation observer (empty function detaches). */
     void setObserver(Observer observer) { _observer = std::move(observer); }
 
-    /** Attach a stall observer (empty function detaches). */
-    void
-    setStallObserver(StallObserver observer)
-    {
-        _onStall = std::move(observer);
-    }
-
     /**
      * Connection teardown (fault path): discard every queued thunk —
      * the messages they carry are lost with the peer — and restore the
@@ -118,7 +104,6 @@ class CreditGate
     int credits() const { return _credits; }
     int window() const { return _window; }
     std::size_t backlog() const { return _waiting.size(); }
-    std::uint64_t stalls() const { return _stalls; }
 
   private:
     void
@@ -131,9 +116,7 @@ class CreditGate
     int _credits;
     int _window;
     util::RingQueue<Thunk> _waiting;
-    std::uint64_t _stalls = 0;
     Observer _observer;
-    StallObserver _onStall;
 };
 
 /**

@@ -80,24 +80,6 @@ PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
     }
 }
 
-void
-PressServer::setTracer(obs::Tracer *tracer)
-{
-    _tracer = tracer;
-    if (tracer) {
-        auto &m = tracer->metrics();
-        _requestsMetric = &m.counter("server.requests", _id);
-        _repliesMetric = &m.counter("server.replies", _id);
-        _forwardsMetric = &m.counter("server.forwards", _id);
-        _latencyMetric = &m.histogram("server.latency_ns", _id);
-    } else {
-        _requestsMetric = nullptr;
-        _repliesMetric = nullptr;
-        _forwardsMetric = nullptr;
-        _latencyMetric = nullptr;
-    }
-}
-
 sim::Tick
 PressServer::replyCost(std::uint64_t bytes) const
 {
@@ -138,8 +120,6 @@ PressServer::handleClientRequest(FileId file, ReplyFn on_reply,
 
     PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqLife,
                             obs::requestId(_id, tag), file);
-    if (_requestsMetric)
-        _requestsMetric->add();
 
     sim::Tick cost = _cal.service.parse + _cal.service.loopPass +
                      _comm.perRequestOverhead();
@@ -191,7 +171,7 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     // served here, from the local cache or disk.
     if (_config.distribution != Distribution::LocalityConscious) {
         decided(obs::DispatchDecision::Oblivious);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
 
@@ -199,13 +179,13 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     if (size >= _config.largeFileCutoff) {
         ++_stats.largeFileServes;
         decided(obs::DispatchDecision::LargeFile);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
     // Rule 2: already cached here -> local.
     if (_cache.contains(file)) {
         decided(obs::DispatchDecision::CachedLocal);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
     // Rules 3/4 run against the caching set from whichever directory
@@ -223,13 +203,10 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
         // miss path buys O(F/S) directory state per node.
         int owner = _shardDir->ownerOf(file);
         PRESS_ASSERT(owner != _id, "owned file reported Unknown");
-        ++_stats.dirLookupsOut;
         ++_stats.forwardedOut;
         decided(obs::DispatchDecision::DirLookup);
         PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
                                 obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
         _comm.send(owner, ForwardMsg{file, tag, _id, ForwardRoute::Lookup});
         noteAwaiting(tag, owner);
         return;
@@ -245,7 +222,7 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
                 mask.clear(j);
     if (mask.none()) {
         decided(obs::DispatchDecision::FirstTouch);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
 
@@ -257,7 +234,7 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     PRESS_ASSERT(candidate >= 0, "non-empty mask without candidate");
     if (candidate == _id) {
         decided(obs::DispatchDecision::SelfBest);
-        serveLocal(file, tag, false);
+        serveLocal(file, tag);
         return;
     }
 
@@ -266,14 +243,12 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
         decided(obs::DispatchDecision::Forward);
         PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqForward,
                                 obs::requestId(_id, tag), file);
-        if (_forwardsMetric)
-            _forwardsMetric->add();
         _comm.send(candidate, ForwardMsg{file, tag});
         noteAwaiting(tag, candidate);
     } else {
         ++_stats.overloadLocalServes;
         decided(obs::DispatchDecision::OverloadLocal);
-        serveLocal(file, tag, true);
+        serveLocal(file, tag);
     }
 }
 
@@ -368,10 +343,8 @@ PressServer::handleDirLookup(int from, const ForwardMsg &msg)
 }
 
 void
-PressServer::serveLocal(FileId file, std::uint32_t tag,
-                        bool count_overload_serve)
+PressServer::serveLocal(FileId file, std::uint32_t tag)
 {
-    (void)count_overload_serve;
     std::uint64_t size = _files.size(file);
 
     if (_cache.contains(file)) {
@@ -433,14 +406,10 @@ PressServer::reply(std::uint32_t tag, std::uint64_t file_bytes,
                                 obs::requestId(_id, tag), bytes);
             PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::ReqLife,
                                   obs::requestId(_id, tag), bytes);
-            if (_repliesMetric)
-                _repliesMetric->add();
             if (start >= _statsEpoch) {
                 auto ns = static_cast<double>(_sim.now() - start);
                 _stats.latency.add(ns);
                 _stats.latencyHist.add(ns);
-                if (_latencyMetric)
-                    _latencyMetric->add(ns);
             }
             // Fault mode: a crash zeroes the counter while replies are
             // still in the CPU queue, so clamp instead of going
@@ -544,7 +513,7 @@ PressServer::onMessage(const Incoming &in)
             PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::ReqForward,
                                   obs::requestId(_id, msg->tag),
                                   msg->file);
-            serveLocal(msg->file, msg->tag, false);
+            serveLocal(msg->file, msg->tag);
             break;
         }
         break;
@@ -1303,7 +1272,7 @@ PressServer::recoverFromDeath(int peer)
                             static_cast<std::uint64_t>(p.retries));
         if (p.retries > _config.fault.retry.maxAttempts) {
             // Out of budget: stop going remote, serve from local disk.
-            serveLocal(p.file, tag, false);
+            serveLocal(p.file, tag);
             continue;
         }
         _sim.schedule(_config.fault.retry.delayFor(attempt),

@@ -77,7 +77,6 @@ struct ServerStats {
     std::uint64_t cachingWaves = 0;     ///< tree caching waves originated
 
     // Sharded cache directory (DirectoryMode::Sharded).
-    std::uint64_t dirLookupsOut = 0;   ///< requests routed via an owner
     std::uint64_t dirLookupsIn = 0;    ///< lookups processed as owner
     std::uint64_t dirHomeReturns = 0;  ///< lookups bounced home to serve
 
@@ -169,7 +168,7 @@ class PressServer
     }
 
     /** Attach the observability hub (null detaches). */
-    void setTracer(obs::Tracer *tracer);
+    void setTracer(obs::Tracer *tracer) { _tracer = tracer; }
 
     // --- fault tolerance (driven by Cluster::setupFaults) -------------
 
@@ -247,8 +246,7 @@ class PressServer
     void handleDirLookup(int from, const ForwardMsg &msg);
 
     /** Service a request on this node (as initial node). */
-    void serveLocal(storage::FileId file, std::uint32_t tag,
-                    bool count_overload_serve);
+    void serveLocal(storage::FileId file, std::uint32_t tag);
 
     /** Dynamic-content class: generate the page on the CPU, bypassing
      *  dispatch, cache, and disk entirely. */
@@ -377,10 +375,6 @@ class PressServer
     PeerDigest &digestFor(int peer);
 
     obs::Tracer *_tracer = nullptr;
-    obs::Counter *_requestsMetric = nullptr;
-    obs::Counter *_repliesMetric = nullptr;
-    obs::Counter *_forwardsMetric = nullptr;
-    stats::LogHistogram *_latencyMetric = nullptr;
 
     bool _faultActive = false; ///< enableFaultMode() was called
     bool _crashed = false;     ///< this node is currently down

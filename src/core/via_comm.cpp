@@ -1,6 +1,7 @@
 #include "via_comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "check/via_checker.hpp"
@@ -29,10 +30,9 @@ struct ViaComm::Peer {
     via::VirtualInterface *vi = nullptr;
 
     // ---- sender side: credits for the peer's receive resources ----
-    CreditGate regularGate;
-    CreditGate forwardGate;
-    CreditGate cachingGate;
-    CreditGate fileGate;
+    /** One window per FlowChannel. */
+    std::array<CreditGate, static_cast<int>(FlowChannel::NumChannels)>
+        gates;
     std::uint64_t forwardSeq = 0;
     std::uint64_t cachingSeq = 0;
     std::uint64_t fileSeq = 0;
@@ -63,11 +63,17 @@ struct ViaComm::Peer {
 
     Peer(int id_, int control_window, int file_window)
         : id(id_),
-          regularGate(control_window),
-          forwardGate(control_window),
-          cachingGate(control_window),
-          fileGate(file_window)
+          gates{CreditGate(control_window), CreditGate(control_window),
+                CreditGate(control_window), CreditGate(file_window)}
     {
+    }
+
+    CreditGate &
+    gate(FlowChannel channel)
+    {
+        auto c = static_cast<std::size_t>(channel);
+        PRESS_ASSERT(c < gates.size(), "bad flow channel");
+        return gates[c];
     }
 };
 
@@ -130,15 +136,11 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         int from = j;
 
         if (checker) {
-            std::string to = "->" + std::to_string(j);
-            p->regularGate.setObserver(
-                checker->creditHook(_node, "regular" + to));
-            p->forwardGate.setObserver(
-                checker->creditHook(_node, "forward" + to));
-            p->cachingGate.setObserver(
-                checker->creditHook(_node, "caching" + to));
-            p->fileGate.setObserver(
-                checker->creditHook(_node, "file" + to));
+            static constexpr const char *Names[] = {"regular", "forward",
+                                                    "caching", "file"};
+            for (std::size_t c = 0; c < p->gates.size(); ++c)
+                p->gates[c].setObserver(checker->creditHook(
+                    _node, Names[c] + ("->" + std::to_string(j))));
         }
 
         // Receive-side regions, with write hooks feeding the poll paths.
@@ -273,36 +275,6 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms)
             c->armRecvThread();
 }
 
-void
-ViaComm::setTracer(obs::Tracer *tracer, int node)
-{
-    ClusterComm::setTracer(tracer, node);
-    // Stalls are per (peer, channel): each gate gets its own observer so
-    // the trace says which window ran dry. The counter reference is
-    // resolved once here, so a stall does no registry lookup.
-    obs::Counter *stalls =
-        tracer ? &tracer->metrics().counter("comm.stalls", node) : nullptr;
-    for (auto &peer : _peers) {
-        if (!peer)
-            continue;
-        auto stall = [tracer, node, stalls](FlowChannel channel) {
-            CreditGate::StallObserver observer;
-            if (tracer)
-                observer = [tracer, node, channel, stalls]() {
-                    tracer->instant(
-                        node, obs::Ev::CommStall, 0,
-                        static_cast<std::uint64_t>(channel));
-                    stalls->add();
-                };
-            return observer;
-        };
-        peer->regularGate.setStallObserver(stall(FlowChannel::Regular));
-        peer->forwardGate.setStallObserver(stall(FlowChannel::Forward));
-        peer->cachingGate.setStallObserver(stall(FlowChannel::Caching));
-        peer->fileGate.setStallObserver(stall(FlowChannel::File));
-    }
-}
-
 bool
 ViaComm::usesRmw(MsgKind kind) const
 {
@@ -388,7 +360,7 @@ ViaComm::send(int dst, WireBody body)
             bytes = logicalBytes(w, _cal.sizes);
         }
         recordSend(kind, bytes);
-        post(peer, nullptr, _cal.via.rmwSendWord,
+        post(peer, Ungated, _cal.via.rmwSendWord,
              Post{word, _cal.sizes.flowRmw}, std::move(w));
         return;
     }
@@ -404,7 +376,7 @@ ViaComm::send(int dst, WireBody body)
         recordSend(kind, meta);
         std::uint64_t slot = peer.fileSeq++ % _config.fileWindow;
         bool zero_copy_tx = _config.version == Version::V5;
-        post(peer, &peer.fileGate,
+        post(peer, FlowChannel::File,
              2 * _cal.via.rmwSend + (zero_copy_tx ? 0 : copyCost(data)),
              Post{peer.rFileMetaRing + slot * SlotBytes, meta,
                   peer.rFileDataRing + slot * _maxTransfer, data},
@@ -423,7 +395,7 @@ ViaComm::send(int dst, WireBody body)
         std::uint64_t &seq = fwd ? peer.forwardSeq : peer.cachingSeq;
         Address ring = fwd ? peer.rForwardRing : peer.rCachingRing;
         Address slot = ring + (seq++ % _config.controlWindow) * SlotBytes;
-        post(peer, fwd ? &peer.forwardGate : &peer.cachingGate,
+        post(peer, fwd ? FlowChannel::Forward : FlowChannel::Caching,
              _cal.via.rmwSend + copyCost(bytes),
              Post{slot, bytes}, std::move(w));
         return;
@@ -431,13 +403,13 @@ ViaComm::send(int dst, WireBody body)
 
     // Regular send. Flow messages travel ungated, on the receive
     // descriptors reserved for them.
-    post(peer, kind == MsgKind::Flow ? nullptr : &peer.regularGate,
+    post(peer, kind == MsgKind::Flow ? Ungated : FlowChannel::Regular,
          _cal.via.regularSend + copyCost(bytes),
          Post{NoAddress, bytes}, std::move(w));
 }
 
 void
-ViaComm::post(Peer &peer, CreditGate *gate, sim::Tick cpu, Post rec,
+ViaComm::post(Peer &peer, FlowChannel channel, sim::Tick cpu, Post rec,
               WireMsg w)
 {
     auto thunk = [this, &peer, cpu, rec,
@@ -465,10 +437,14 @@ ViaComm::post(Peer &peer, CreditGate *gate, sim::Tick cpu, Post rec,
             PRESS_ASSERT(ok, "VIA post overflow despite flow control");
         });
     };
-    if (gate)
-        gate->acquire(std::move(thunk));
-    else
+    if (channel == Ungated) {
         thunk();
+    } else if (!peer.gate(channel).acquire(std::move(thunk))) {
+        // The peer's window is empty: the send waits for a credit.
+        ++_tx.stalls;
+        PRESS_TRACE_INSTANT(_tracer, _traceNode, obs::Ev::CommStall, 0,
+                            static_cast<std::uint64_t>(channel));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -629,22 +605,7 @@ ViaComm::creditArrived(int from, const FlowMsg &flow)
         _tracer, _traceNode, obs::Ev::CommCredit, 0,
         obs::packKindBytes(static_cast<int>(flow.channel),
                            static_cast<std::uint64_t>(flow.credits)));
-    switch (flow.channel) {
-      case FlowChannel::Regular:
-        peer.regularGate.release(flow.credits);
-        break;
-      case FlowChannel::Forward:
-        peer.forwardGate.release(flow.credits);
-        break;
-      case FlowChannel::Caching:
-        peer.cachingGate.release(flow.credits);
-        break;
-      case FlowChannel::File:
-        peer.fileGate.release(flow.credits);
-        break;
-      default:
-        util::panic("bad flow channel");
-    }
+    peer.gate(flow.channel).release(flow.credits);
 }
 
 void
@@ -670,10 +631,8 @@ ViaComm::drainSendCq()
 void
 ViaComm::resetPeerFlow(Peer &peer)
 {
-    peer.regularGate.reset();
-    peer.forwardGate.reset();
-    peer.cachingGate.reset();
-    peer.fileGate.reset();
+    for (auto &gate : peer.gates)
+        gate.reset();
     peer.regularReturn->reset();
     peer.forwardReturn->reset();
     peer.cachingReturn->reset();

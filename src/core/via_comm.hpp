@@ -78,9 +78,6 @@ class ViaComm : public ClusterComm
      *  once after constructing every ViaComm. */
     static void linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms);
 
-    /** Also instruments the credit gates' stall paths. */
-    void setTracer(obs::Tracer *tracer, int node) override;
-
     /**
      * Table 3 as one decision on the kind, feeding post():
      *  - word: flow credits, and loads when dissemination.useRmw;
@@ -116,6 +113,10 @@ class ViaComm : public ClusterComm
     /** Post target of a regular send, and of an absent data record. */
     static constexpr via::Address NoAddress = ~via::Address{0};
 
+    /** post()'s channel for traffic no credit window guards: flow
+     *  messages and remote words. */
+    static constexpr FlowChannel Ungated = FlowChannel::NumChannels;
+
     /**
      * What one post writes: an optional file-data record, then the
      * message record, a remote write at `at` or a regular send when
@@ -133,11 +134,12 @@ class ViaComm : public ClusterComm
     bool usesRmw(MsgKind kind) const;
 
     /**
-     * The one post routine: wait for a credit on @p gate (none when
-     * null), charge @p cpu, then, if the peer is still reachable, post
-     * @p rec on its VI.
+     * The one post routine: wait for a credit on @p channel's window
+     * (none when Ungated), charge @p cpu, then, if the peer is still
+     * reachable, post @p rec on its VI. A send that finds the window
+     * empty counts one stall.
      */
-    void post(Peer &peer, CreditGate *gate, sim::Tick cpu, Post rec,
+    void post(Peer &peer, FlowChannel channel, sim::Tick cpu, Post rec,
               WireMsg w);
 
     /** Receive-thread drain loop for regular messages. */

@@ -181,8 +181,10 @@ readTrace(std::istream &is, TraceData &data, std::string *error)
     std::uint32_t ncats = r.u32();
     if (!r.ok() || data.nodes == 0 || data.nodes > 255 || ncats > 256)
         return fail(error, "corrupt .ptrace header");
-    data.categories.reserve(ncats);
-    for (std::uint32_t c = 0; c < ncats; ++c)
+    // Every loop stops at the first failed read, and nothing is
+    // reserved from a count the file claims: a short file must fail
+    // fast, not allocate what its header promises.
+    for (std::uint32_t c = 0; c < ncats && r.ok(); ++c)
         data.categories.push_back(r.string(4096));
     for (std::uint32_t n = 0; n < data.nodes; ++n) {
         data.emitted.push_back(r.u64());
@@ -190,8 +192,7 @@ readTrace(std::istream &is, TraceData &data, std::string *error)
         if (!r.ok() || count > (1u << 28))
             return fail(error, "corrupt .ptrace node header");
         std::vector<TraceEvent> events;
-        events.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
+        for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
             TraceEvent e;
             e.tick = r.i64();
             e.arg = r.u64();
@@ -201,6 +202,8 @@ readTrace(std::istream &is, TraceData &data, std::string *error)
             e.node = r.u8();
             events.push_back(e);
         }
+        if (!r.ok())
+            return fail(error, "truncated .ptrace file");
         data.events.push_back(std::move(events));
     }
     for (std::uint32_t n = 0; n < data.nodes; ++n) {
@@ -218,7 +221,7 @@ readTrace(std::istream &is, TraceData &data, std::string *error)
     std::uint32_t nmetrics = r.u32();
     if (!r.ok() || nmetrics > (1u << 24))
         return fail(error, "corrupt .ptrace metrics header");
-    for (std::uint32_t i = 0; i < nmetrics; ++i) {
+    for (std::uint32_t i = 0; i < nmetrics && r.ok(); ++i) {
         MetricSample m;
         m.name = r.string(4096);
         m.node = static_cast<int>(r.u32());

@@ -5,10 +5,12 @@
  *
  * One Tracer exists per traced cluster run (none at all when tracing is
  * off — every instrumentation site is a null-pointer test and nothing
- * else). It owns one TraceRing per node, the MetricsRegistry, and the
- * span-derived CPU-time aggregation that lets the Figure-1 breakdown be
- * recomputed from spans and cross-checked against the osnode category
- * counters.
+ * else). It owns one TraceRing per node and the span-derived CPU-time
+ * aggregation that lets the Figure-1 breakdown be recomputed from spans
+ * and cross-checked against the osnode category counters. It counts
+ * nothing else: the metric rows a snapshot carries are filled by the
+ * cluster from the always-on counters (ServerStats, CommStats,
+ * FifoResource), the same way counterBusy is.
  *
  * Determinism: all timestamps come from the owning Simulator, every
  * cluster run owns a private Tracer, and no wall-clock or host state is
@@ -23,12 +25,18 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
 namespace press::obs {
+
+/** One metric row of a trace snapshot. */
+struct MetricSample {
+    std::string name;        ///< metric name, e.g. "server.replies"
+    int node = -1;           ///< owning node; -1 = cluster rollup
+    std::uint64_t value = 0; ///< count, or high-water mark
+};
 
 /**
  * A self-contained snapshot of everything a traced run observed: the
@@ -51,10 +59,12 @@ struct TraceData {
      *  exactly. */
     std::vector<std::vector<std::int64_t>> counterBusy;
 
+    /** Per-node rows plus a cluster row per name; filled by the
+     *  cluster from its always-on counters. */
     std::vector<MetricSample> metrics;
 };
 
-/** The per-cluster trace/metrics hub. */
+/** The per-cluster trace hub. */
 class Tracer
 {
   public:
@@ -117,12 +127,9 @@ class Tracer
             by_cat[static_cast<std::size_t>(category)] += duration;
     }
 
-    /** Zero the span aggregation and metrics at the measurement
-     *  boundary (rings keep their history). */
+    /** Zero the span aggregation at the measurement boundary (rings
+     *  keep their history). */
     void resetAggregates();
-
-    MetricsRegistry &metrics() { return _metrics; }
-    const MetricsRegistry &metrics() const { return _metrics; }
 
     const TraceRing &ring(int node) const
     {
@@ -137,8 +144,8 @@ class Tracer
             .at(static_cast<std::size_t>(category));
     }
 
-    /** Snapshot everything (counterBusy comes back zeroed — the caller
-     *  owns the resource counters and fills it in). */
+    /** Snapshot everything (counterBusy comes back zeroed and metrics
+     *  empty — the caller owns the counters and fills both in). */
     TraceData snapshot() const;
 
   private:
@@ -160,14 +167,13 @@ class Tracer
     std::vector<TraceRing> _rings;
     std::vector<std::string> _categories;
     std::vector<std::vector<std::int64_t>> _spanBusy;
-    MetricsRegistry _metrics;
 };
 
 /**
  * sim::ResourceListener feeding a Tracer: CPU jobs become serial spans
  * attributed by category (the span-derived Figure-1 input), disk jobs
  * become read spans, and every queue movement samples the depth as a
- * counter event plus a high-water gauge.
+ * counter event.
  */
 class ResourceProbe final : public sim::ResourceListener
 {
@@ -186,10 +192,6 @@ class ResourceProbe final : public sim::ResourceListener
     Tracer &_tracer;
     int _node;
     Kind _kind;
-    Gauge &_depthGauge;
-    /** Resolved at construction, so a disk read does no registry
-     *  lookup. */
-    stats::LogHistogram &_diskReadNs;
 };
 
 } // namespace press::obs

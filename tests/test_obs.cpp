@@ -1,19 +1,20 @@
 /**
  * @file
  * Tests for the observability subsystem (src/obs): ring semantics,
- * metrics rollups, the span-vs-counter exactness invariant, export
- * determinism, the JSON validator, and the .ptrace round trip.
+ * the metric section a traced run exports, the span-vs-counter
+ * exactness invariant, export determinism, the JSON validator, and the
+ * .ptrace round trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/metrics.hpp"
 #include "obs/summary.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_ring.hpp"
@@ -137,47 +138,6 @@ TEST(TraceRing, ClearKeepsCapacity)
     EXPECT_EQ(ring.at(0).tick, 99);
 }
 
-TEST(Metrics, RegisterOrFindReturnsSameSlot)
-{
-    obs::MetricsRegistry reg(2);
-    obs::Counter &a = reg.counter("x", 0);
-    obs::Counter &b = reg.counter("x", 0);
-    EXPECT_EQ(&a, &b);
-    obs::Counter &other_node = reg.counter("x", 1);
-    EXPECT_NE(&a, &other_node);
-}
-
-TEST(Metrics, SnapshotRollsUpDeterministically)
-{
-    obs::MetricsRegistry reg(2);
-    reg.counter("b.count", 0).add(3);
-    reg.counter("b.count", 1).add(4);
-    reg.gauge("a.depth", 0).set(5);
-    reg.gauge("a.depth", 0).set(2); // max stays 5
-    reg.gauge("a.depth", 1).set(9);
-    reg.histogram("c.lat", 1).add(10);
-
-    std::vector<obs::MetricSample> snap = reg.snapshot();
-    // Sorted by name then node, rollup row (node -1) per name:
-    // b.count before a.depth? No — counters and gauges both sort by
-    // name within their kind; the registry enumerates counters first.
-    ASSERT_EQ(snap.size(), 9u);
-    EXPECT_EQ(snap[0].name, "b.count");
-    EXPECT_EQ(snap[0].node, 0);
-    EXPECT_EQ(snap[0].value, 3u);
-    EXPECT_EQ(snap[2].node, -1); // rollup
-    EXPECT_EQ(snap[2].value, 7u); // counters sum
-    EXPECT_EQ(snap[3].name, "a.depth");
-    EXPECT_EQ(snap[5].node, -1);
-    EXPECT_EQ(snap[5].value, 9u); // gauges take the max high-water
-    EXPECT_EQ(snap[6].name, "c.lat");
-    EXPECT_EQ(snap[8].value, 1u); // histogram rollup = total count
-
-    reg.reset();
-    for (const auto &s : reg.snapshot())
-        EXPECT_EQ(s.value, 0u);
-}
-
 TEST(Tracer, ProbeSpanBusyMatchesResourceCounters)
 {
     sim::Simulator sim;
@@ -211,7 +171,6 @@ TEST(Tracer, SnapshotCarriesRingsAndAggregates)
     tracer.instant(0, obs::Ev::CommSend, 0, obs::packKindBytes(1, 100));
     tracer.instant(1, obs::Ev::CommRecv, 7, obs::packKindBytes(1, 100));
     tracer.addCpuSpan(0, 1, 500);
-    tracer.metrics().counter("m", 0).add(2);
 
     obs::TraceData data = tracer.snapshot();
     EXPECT_EQ(data.nodes, 2u);
@@ -223,7 +182,7 @@ TEST(Tracer, SnapshotCarriesRingsAndAggregates)
     EXPECT_EQ(data.counterBusy[0][1], 0); // caller fills this in
     ASSERT_EQ(data.categories.size(), 2u);
     EXPECT_EQ(data.categories[1], "b");
-    EXPECT_FALSE(data.metrics.empty());
+    EXPECT_TRUE(data.metrics.empty()); // caller fills this in too
 }
 
 TEST(ValidateJson, AcceptsWellFormedDocuments)
@@ -298,6 +257,97 @@ TEST(TracedCluster, RerunsAreByteIdentical)
     EXPECT_EQ(pa.str(), pb.str());
 }
 
+TEST(TracedCluster, MetricRowsMirrorTheAlwaysOnCounters)
+{
+    workload::TraceSpec spec = workload::clarknetSpec();
+    spec.numRequests = 6000;
+    spec.numFiles = 800;
+    workload::Trace trace = workload::generateTrace(spec);
+
+    for (core::Protocol protocol :
+         {core::Protocol::ViaClan, core::Protocol::TcpFastEthernet}) {
+        core::PressConfig config;
+        config.nodes = 4;
+        config.protocol = protocol;
+        config.version = core::Version::V5;
+        config.trace = true;
+        core::PressCluster cluster(config, trace);
+        core::ClusterResults r = cluster.run();
+        ASSERT_TRUE(r.trace);
+        const auto &rows = r.trace->metrics;
+
+        bool via = protocol == core::Protocol::ViaClan;
+        SCOPED_TRACE(via ? "VIA-V5" : "TCP/FE");
+        std::vector<std::string> names = {
+            "comm.stalls",      "comm.tx.bytes",    "comm.tx.msgs",
+            "server.forwards",  "server.replies",   "server.requests",
+            "cpu.queue_depth",  "disk.queue_depth", "disk.read_ns",
+            "server.latency_ns"};
+        if (!via)
+            names.erase(names.begin()); // only VIA has credit windows
+        auto counter = [&cluster](const std::string &name, int i) {
+            const auto &s = cluster.server(i).stats();
+            const auto &tx = cluster.comm(i).txStats();
+            osnode::Node &node = cluster.node(i);
+            if (name == "comm.stalls")
+                return tx.stalls;
+            if (name == "comm.tx.bytes")
+                return tx.total().bytes;
+            if (name == "comm.tx.msgs")
+                return tx.total().msgs;
+            if (name == "server.forwards")
+                return s.forwardedOut;
+            if (name == "server.replies")
+                return s.replies;
+            if (name == "server.requests")
+                return s.requests;
+            if (name == "cpu.queue_depth")
+                return std::uint64_t{node.cpu().maxDepth()};
+            if (name == "disk.queue_depth")
+                return std::uint64_t{node.disk().resource().maxDepth()};
+            if (name == "disk.read_ns")
+                return node.disk().reads();
+            return s.latencyHist.count(); // server.latency_ns
+        };
+
+        const int n = config.nodes;
+        ASSERT_EQ(rows.size(), names.size() * (n + 1));
+        for (std::size_t k = 0; k < names.size(); ++k) {
+            const std::string &name = names[k];
+            bool peak = name.ends_with("queue_depth");
+            std::uint64_t total = 0;
+            for (int i = 0; i <= n; ++i) {
+                const obs::MetricSample &m = rows[k * (n + 1) + i];
+                EXPECT_EQ(m.name, name);
+                if (i == n) {
+                    // The cluster row: the sum, or the max for a
+                    // high-water mark.
+                    EXPECT_EQ(m.node, -1) << name;
+                    EXPECT_EQ(m.value, total) << name;
+                    break;
+                }
+                EXPECT_EQ(m.node, i) << name;
+                EXPECT_EQ(m.value, counter(name, i))
+                    << name << " node " << i;
+                total = peak ? std::max(total, m.value) : total + m.value;
+            }
+        }
+        // The cluster rows agree with the run's results.
+        auto cluster_row = [&](const std::string &name) {
+            auto k = std::find(names.begin(), names.end(), name) -
+                     names.begin();
+            return rows[k * (n + 1) + n].value;
+        };
+        EXPECT_EQ(cluster_row("comm.tx.msgs"), r.comm.total().msgs);
+        EXPECT_EQ(cluster_row("server.replies"), r.requestsMeasured);
+        if (via) {
+            // The run does stall, so the stall path is covered.
+            EXPECT_GT(r.comm.stalls, 0u);
+            EXPECT_EQ(cluster_row("comm.stalls"), r.comm.stalls);
+        }
+    }
+}
+
 TEST(TraceIo, RoundTripPreservesEverything)
 {
     core::ClusterResults r = tracedRun(512);
@@ -359,6 +409,26 @@ TEST(TraceIo, RejectsCorruptStreams)
         std::string bytes = "PTRC";
         std::istringstream truncated(bytes);
         EXPECT_FALSE(obs::readTrace(truncated, data, &error));
+    }
+    {
+        // A 32-byte file whose one node claims 2^28 events, then EOF:
+        // the reader must fail on the first missing event, not reserve
+        // 6 GiB or read on past the end.
+        std::ostringstream os;
+        auto put = [&os](std::uint64_t v, int bytes) {
+            for (int i = 0; i < bytes; ++i)
+                os.put(static_cast<char>(v >> (8 * i)));
+        };
+        put(obs::kTraceMagic, 4);
+        put(obs::kTraceVersion, 4);
+        put(1, 4);        // nodes
+        put(0, 4);        // categories
+        put(0, 8);        // node 0: emitted
+        put(1u << 28, 8); // node 0: event count
+        ASSERT_EQ(os.str().size(), 32u);
+        std::istringstream huge(os.str());
+        EXPECT_FALSE(obs::readTrace(huge, data, &error));
+        EXPECT_FALSE(error.empty());
     }
 }
 
