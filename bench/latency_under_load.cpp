@@ -42,7 +42,7 @@ main(int argc, char **argv)
                                   : Protocol::TcpClan;
             config.version = via ? Version::V5 : Version::V0;
             config.clientMode = PressConfig::ClientMode::OpenLoop;
-            config.openLoopRate = rate;
+            config.traffic = traffic::steadyScenario(rate);
             // Caches above the 410 MB working set: at fixed offered
             // load the disks would otherwise dominate the latency and
             // mask the communication effect under study.

@@ -97,18 +97,19 @@ if [ -n "$cli_hits" ]; then
 fi
 
 # ------------------------------------------- arrival-rate literal ban
-# Every offered-load constant lives in src/traffic (DefaultOpenLoopRate,
-# the scenario factories) so capacity sweeps, examples, and tools agree
-# on what a rate means. Assigning a numeric literal anywhere else
-# scatters magic req/s values; pass a computed rate or use a
-# traffic:: scenario factory instead. Tests are exempt — pinning a
-# literal rate against a specific assertion is the point of a test.
-rate_hits=$(grep -rnE 'openLoopRate *= *[0-9]' \
+# An open loop takes its offered rate from traffic.curve alone, and
+# every offered-load constant lives in src/traffic (the scenario
+# factories' shapes) so capacity sweeps, examples, and tools agree on
+# what a rate means. Calling a scenario factory or RateCurve::constant
+# with a numeric literal anywhere else scatters magic req/s values;
+# pass a computed rate instead. Tests are exempt — pinning a literal
+# rate against a specific assertion is the point of a test.
+rate_hits=$(grep -rnE '(RateCurve::constant|[A-Za-z]+Scenario) *\( *[0-9.]' \
     src/ bench/ tools/ examples/ | grep -v 'src/traffic/' || true)
 if [ -n "$rate_hits" ]; then
-    echo "lint: BANNED pattern 'openLoopRate = <literal>'" \
-         "(rate constants live in src/traffic; use a scenario" \
-         "factory or a computed rate):"
+    echo "lint: BANNED pattern 'rate literal'" \
+         "(rate constants live in src/traffic; pass a computed rate" \
+         "to the scenario factory or RateCurve::constant):"
     echo "$rate_hits" | sed 's/^/  /'
     FAILED=1
 fi

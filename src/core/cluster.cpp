@@ -150,7 +150,6 @@ PressCluster::dumpStats(std::ostream &os) const
  *  the open-loop mode shares one passive slot among all arrivals. */
 struct PressCluster::ClientSlot {
     int index = 0;
-    bool active = false;
     bool closedLoop = true;
 
     // Fault-mode bookkeeping (untouched in healthy runs): the request
@@ -335,8 +334,19 @@ PressCluster::PressCluster(const PressConfig &config,
 
 PressCluster::~PressCluster() = default;
 
+namespace {
+
+// A keep-alive session's obs span tag: session spans live above the
+// request-tag id space, so the session id rides in the low bits.
+constexpr std::uint32_t SessionTagBit = 0x800000u;
+constexpr std::uint8_t SessionBegin = 1; // RequestOptions::sessionPhase
+constexpr std::uint8_t SessionEnd = 2;
+
+} // namespace
+
 void
-PressCluster::replyFinished(ClientSlot *slot, std::uint32_t gen)
+PressCluster::replyFinished(ClientSlot *slot, std::uint32_t gen,
+                            std::uint32_t session_tag)
 {
     if (_faultEnabled && slot->closedLoop) {
         if (gen != slot->generation)
@@ -355,11 +365,14 @@ PressCluster::replyFinished(ClientSlot *slot, std::uint32_t gen)
     _lastReply = _sim.now();
     if (slot->closedLoop) {
         issueNext(*slot);
-    } else if (_inFlight > 0) {
-        // Open-loop bookkeeping: runs on the client domain (the reply
-        // just landed on a client port), same as the arrival side.
-        --_inFlight;
+        return;
     }
+    // Open-loop bookkeeping: runs on the client domain (the reply just
+    // landed on a client port), same as the arrival side.
+    if (_inFlight > 0)
+        --_inFlight;
+    if (session_tag != 0)
+        openSessionAdvance(session_tag & ~SessionTagBit);
 }
 
 void
@@ -371,7 +384,6 @@ PressCluster::scheduleArrival()
         _openSlot = std::make_unique<ClientSlot>();
         _openSlot->index = -1;
         _openSlot->closedLoop = false;
-        _openSlot->active = true;
     }
     // Arrival k is a pure function of (seed, curve, k): counter-based
     // splitmix64 -> exponential mass -> integrated-rate inversion. The
@@ -385,28 +397,18 @@ PressCluster::scheduleArrival()
     });
 }
 
-// Bit layout of the open_word threaded through the client path: the
-// shaping flags below, the session id in the high half. 0 = classic
-// request (closed-loop warm-up, unshaped open loop).
-namespace {
-constexpr std::uint64_t WordKeepAlive = 1;
-constexpr std::uint64_t WordDynamic = 2;
-constexpr std::uint64_t WordSessionBegin = 4;
-constexpr std::uint64_t WordSessionEnd = 8;
-constexpr std::uint64_t WordInSession = 16;
-} // namespace
-
-std::uint64_t
+RequestOptions
 PressCluster::openShape(storage::FileId &file, std::uint64_t k)
 {
     if (_population)
         file = _rankToFile[_population->sampleRank(
             _sim.now() - _measureStart, k)];
-    bool dynamic = _config.traffic.dynamicFraction > 0 &&
+    RequestOptions opts;
+    opts.dynamic = _config.traffic.dynamicFraction > 0 &&
                    traffic::unitFromHash(traffic::mix64(
                        _config.seed ^ 0xC1A55F1EDull ^ (k + 1))) <
                        _config.traffic.dynamicFraction;
-    return dynamic ? WordDynamic : 0;
+    return opts;
 }
 
 void
@@ -424,53 +426,23 @@ PressCluster::openArrival()
         ++_dropped;
         return;
     }
-    std::uint64_t word = openShape(file, k);
+    RequestOptions opts = openShape(file, k);
 
     if (_sessionModel) {
         std::uint32_t sid = _sessionSeq++;
-        PRESS_ASSERT(sid < 0x800000u, "session id space exhausted");
+        PRESS_ASSERT(sid < SessionTagBit, "session id space exhausted");
         std::uint32_t len = _sessionModel->length(sid);
         int node = pickClientNode();
         _sessions.emplace(sid, OpenSession{node, len, 0});
-        word |= WordInSession | WordSessionBegin;
-        if (len == 1)
-            word |= WordSessionEnd;
-        word |= static_cast<std::uint64_t>(sid) << 32;
-        openIssue(file, node, word);
+        opts.sessionPhase = len == 1 ? SessionBegin | SessionEnd
+                                     : SessionBegin;
+        opts.sessionTag = SessionTagBit | sid;
+        issueRequest(*_openSlot, file, node, opts);
         return;
     }
-    if (_config.distribution == Distribution::FrontEndLard) {
-        // The LARD front-end owns node choice; shaping beyond the rate
-        // curve is rejected at run() start.
-        ++_inFlight;
-        _inFlightPeak = std::max(_inFlightPeak, _inFlight);
-        issueRequest(*_openSlot, file);
-        return;
-    }
-    openIssue(file, pickClientNode(), word);
-}
-
-void
-PressCluster::openIssue(storage::FileId file, int node, std::uint64_t word)
-{
-    ++_inFlight;
-    _inFlightPeak = std::max(_inFlightPeak, _inFlight);
-    int client_port = _config.nodes + node;
-    net::Payload wire = requestWire(file);
-    std::uint64_t req_bytes = _requestWireBytes[file];
-    // A fresh connection's TCP handshake rides the external wire ahead
-    // of the request; keep-alive requests skip it. Only the session
-    // path models connections explicitly, so unshaped runs keep their
-    // exact wire byte counts.
-    if ((word & WordInSession) && !(word & WordKeepAlive))
-        req_bytes += _config.calibration.sizes.tcpHandshake;
-    ClientSlot *slot_ptr = _openSlot.get();
-    _external->send(client_port, node, req_bytes,
-                    [this, node, file, slot_ptr, word,
-                     wire = std::move(wire)]() {
-                        requestArrived(node, file, wire, slot_ptr, 0,
-                                       word);
-                    });
+    // Under the LARD front-end, shaping beyond the rate curve is
+    // rejected at run() start, so opts is the classic request.
+    issueRequest(*_openSlot, file, pickClientNode(), opts);
 }
 
 void
@@ -504,12 +476,12 @@ PressCluster::openSessionIssue(std::uint32_t sid)
     }
     std::uint64_t k = _openSeq++;
     ++_offered;
-    std::uint64_t word = openShape(file, k) | WordInSession |
-                         WordKeepAlive |
-                         (static_cast<std::uint64_t>(sid) << 32);
+    RequestOptions opts = openShape(file, k);
+    opts.keepAlive = true;
+    opts.sessionTag = SessionTagBit | sid;
     if (s.done + 1 >= s.length)
-        word |= WordSessionEnd;
-    openIssue(file, s.node, word);
+        opts.sessionPhase = SessionEnd;
+    issueRequest(*_openSlot, file, s.node, opts);
 }
 
 int
@@ -561,20 +533,17 @@ PressCluster::issueNext(ClientSlot &slot)
         (_measuring || _feed->issued() >= _warmupBoundary)) {
         if (!_measuring)
             resetForMeasurement();
-        slot.active = false;
         return;
     }
 
     storage::FileId file = _feed->next();
-    if (file == storage::InvalidFile) {
-        slot.active = false;
+    if (file == storage::InvalidFile)
         return;
-    }
 
     if (!_measuring && _feed->issued() > _warmupBoundary)
         resetForMeasurement();
 
-    issueRequest(slot, file);
+    issueRequest(slot, file, pickClientNode());
 }
 
 net::Payload
@@ -595,17 +564,25 @@ PressCluster::requestWire(storage::FileId file)
 }
 
 void
-PressCluster::issueRequest(ClientSlot &slot, storage::FileId file)
+PressCluster::issueRequest(ClientSlot &slot, storage::FileId file,
+                           int node, const RequestOptions &opts)
 {
-    int node = pickClientNode();
     int client_port = _config.nodes + node;
-
     net::Payload wire = requestWire(file);
     std::uint64_t req_bytes = _requestWireBytes[file];
+    // A fresh connection's TCP handshake rides the external wire ahead
+    // of the request; keep-alive requests skip it. Only the session
+    // path models connections explicitly, so other runs keep their
+    // exact wire byte counts.
+    if (opts.sessionTag != 0 && !opts.keepAlive)
+        req_bytes += _config.calibration.sizes.tcpHandshake;
 
     ClientSlot *slot_ptr = &slot;
     std::uint32_t gen = 0;
-    if (_faultEnabled && slot.closedLoop) {
+    if (!slot.closedLoop) {
+        ++_inFlight;
+        _inFlightPeak = std::max(_inFlightPeak, _inFlight);
+    } else if (_faultEnabled) {
         slot.file = file;
         slot.pendingNode = node;
         slot.inFlight = true;
@@ -622,9 +599,10 @@ PressCluster::issueRequest(ClientSlot &slot, storage::FileId file)
         return;
     }
     _external->send(client_port, node, req_bytes,
-                    [this, node, file, slot_ptr, gen,
+                    [this, node, file, slot_ptr, gen, opts,
                      wire = std::move(wire)]() {
-                        requestArrived(node, file, wire, slot_ptr, gen);
+                        requestArrived(node, file, wire, slot_ptr, gen,
+                                       opts);
                     });
 }
 
@@ -698,18 +676,12 @@ PressCluster::frontEndRoute(storage::FileId file,
                     file, [this, file, keep_alive, backend,
                            slot](std::uint64_t) {
                         --_feLoad[backend];
-                        http::Response resp = http::makeFileResponse(
-                            200, _trace.files.size(file),
-                            http::mimeType(_site.path(file)),
-                            keep_alive);
                         int client_port =
                             _config.nodes +
                             (slot->index > 0 ? slot->index : 0) %
                                 _config.nodes;
-                        _external->send(backend, client_port,
-                                        resp.wireBytes(), [this, slot]() {
-                                            replyFinished(slot, 0);
-                                        });
+                        sendReply(backend, client_port, file, keep_alive,
+                                  slot, 0, 0);
                     });
             });
     });
@@ -718,7 +690,7 @@ PressCluster::frontEndRoute(storage::FileId file,
 void
 PressCluster::requestArrived(int node, storage::FileId file,
                              const net::Payload &wire, ClientSlot *slot,
-                             std::uint32_t gen, std::uint64_t open_word)
+                             std::uint32_t gen, const RequestOptions &opts)
 {
     // Ingress: parse the request text and resolve the path, exactly as
     // the real server's accept path would (the simulated cost of this
@@ -727,41 +699,30 @@ PressCluster::requestArrived(int node, storage::FileId file,
     if (!accepted)
         return;
     bool keep_alive = *accepted;
-
-    RequestOptions opts;
-    if (open_word != 0) {
-        opts.keepAlive = (open_word & WordKeepAlive) != 0;
-        opts.dynamic = (open_word & WordDynamic) != 0;
-        if (open_word & WordSessionBegin)
-            opts.sessionPhase |= 1;
-        if (open_word & WordSessionEnd)
-            opts.sessionPhase |= 2;
-        if (open_word & WordInSession)
-            // Session spans live above the request-tag id space.
-            opts.sessionTag = 0x800000u | static_cast<std::uint32_t>(
-                                              open_word >> 32);
-    }
-
-    int client_port = _config.nodes + node;
     _servers[node]->handleClientRequest(
         file,
-        [this, node, file, client_port, keep_alive, slot, gen,
-         open_word](std::uint64_t) {
-            // Egress: build the HTTP response; its wire size replaces
-            // the server's header estimate.
-            http::Response resp = http::makeFileResponse(
-                200, _trace.files.size(file),
-                http::mimeType(_site.path(file)), keep_alive);
-            _external->send(node, client_port, resp.wireBytes(),
-                            [this, slot, gen, open_word]() {
-                                replyFinished(slot, gen);
-                                if (open_word & WordInSession)
-                                    openSessionAdvance(
-                                        static_cast<std::uint32_t>(
-                                            open_word >> 32));
-                            });
+        [this, node, file, keep_alive, slot, gen,
+         session_tag = opts.sessionTag](std::uint64_t) {
+            sendReply(node, _config.nodes + node, file, keep_alive, slot,
+                      gen, session_tag);
         },
         opts);
+}
+
+void
+PressCluster::sendReply(int node, int client_port, storage::FileId file,
+                        bool keep_alive, ClientSlot *slot,
+                        std::uint32_t gen, std::uint32_t session_tag)
+{
+    // Egress: build the HTTP response; its wire size replaces the
+    // server's header estimate.
+    http::Response resp =
+        http::makeFileResponse(200, _trace.files.size(file),
+                               http::mimeType(_site.path(file)), keep_alive);
+    _external->send(node, client_port, resp.wireBytes(),
+                    [this, slot, gen, session_tag]() {
+                        replyFinished(slot, gen, session_tag);
+                    });
 }
 
 void
@@ -788,18 +749,6 @@ PressCluster::resetForMeasurement()
 }
 
 void
-PressCluster::clientMarkDead(int node)
-{
-    _clientAlive[static_cast<std::size_t>(node)] = 0;
-}
-
-void
-PressCluster::clientMarkAlive(int node)
-{
-    _clientAlive[static_cast<std::size_t>(node)] = 1;
-}
-
-void
 PressCluster::clientScanDead(int node)
 {
     // Requests in flight to the dead node died with it (their pending
@@ -814,7 +763,7 @@ PressCluster::clientScanDead(int node)
         slot->inFlight = false;
         slot->pendingNode = -1;
         ++_clientRetries;
-        issueRequest(*slot, slot->file);
+        issueRequest(*slot, slot->file, pickClientNode());
     }
 }
 
@@ -880,7 +829,7 @@ PressCluster::setupFaults()
             }
             _sim.setCurrentDomain(clientDomain());
             _sim.schedule(ev.at + plan.suspectDelay, [this, x]() {
-                clientMarkDead(x);
+                _clientAlive[static_cast<std::size_t>(x)] = 0;
                 clientScanDead(x);
             });
             break;
@@ -901,8 +850,9 @@ PressCluster::setupFaults()
                               });
             }
             _sim.setCurrentDomain(clientDomain());
-            _sim.schedule(ev.at + plan.suspectDelay,
-                          [this, x]() { clientMarkAlive(x); });
+            _sim.schedule(ev.at + plan.suspectDelay, [this, x]() {
+                _clientAlive[static_cast<std::size_t>(x)] = 1;
+            });
             break;
           }
           case fault::FaultKind::Leave: {
@@ -924,7 +874,9 @@ PressCluster::setupFaults()
                               });
             }
             _sim.setCurrentDomain(clientDomain());
-            _sim.schedule(ev.at, [this, x]() { clientMarkDead(x); });
+            _sim.schedule(ev.at, [this, x]() {
+                _clientAlive[static_cast<std::size_t>(x)] = 0;
+            });
             _sim.schedule(ev.at + plan.drainDelay + plan.suspectDelay,
                           [this, x]() { clientScanDead(x); });
             break;
@@ -1001,14 +953,13 @@ PressCluster::run(std::uint64_t max_requests)
                      "the LARD front-end supports only rate-curve "
                      "shaping (sessions/classes/popularity bypass its "
                      "hand-off path)");
-        traffic::RateCurve curve =
-            tm.curve.empty() ? traffic::RateCurve::constant(
-                                   _config.openLoopRate)
-                             : tm.curve;
+        PRESS_ASSERT(!tm.curve.empty(),
+                     "an open loop takes its offered rate from "
+                     "traffic.curve, which is empty");
         double scale =
             tm.session.enabled ? 1.0 / tm.session.meanRequests : 1.0;
         _arrivals = std::make_unique<traffic::ArrivalEngine>(
-            std::move(curve), _config.seed ^ 0x41525256414Cull, scale);
+            tm.curve, _config.seed ^ 0x41525256414Cull, scale);
         _sessionModel.reset();
         if (tm.session.enabled)
             _sessionModel = std::make_unique<traffic::SessionModel>(
@@ -1038,7 +989,6 @@ PressCluster::run(std::uint64_t max_requests)
     // client RNG, the request feed) belongs to the client domain.
     _sim.setCurrentDomain(clientDomain());
     for (auto &slot : _clients) {
-        slot->active = true;
         slot->closedLoop = true;
         issueNext(*slot);
     }
@@ -1136,6 +1086,10 @@ PressCluster::run(std::uint64_t max_requests)
         for (auto &slot : _clients)
             if (slot->inFlight)
                 ++r.requestsLost;
+        // Open-loop arrivals are never re-issued (clientScanDead walks
+        // the closed-loop slots only): one still unanswered at drain
+        // was lost to a crash.
+        r.requestsLost += _inFlight;
         r.clientRetries = _clientRetries;
         r.replyBuckets = _replyBuckets;
         // View convergence: the worst lag between a node going down and

@@ -193,18 +193,20 @@ class PressCluster
     struct ClientSlot;
 
     void issueNext(ClientSlot &slot);
-    /** Send one request for @p file from @p slot to a (fault mode:
-     *  believed-alive) node — the wire half of issueNext, reused by the
-     *  client-side dead-node retry. */
-    void issueRequest(ClientSlot &slot, storage::FileId file);
-    void replyFinished(ClientSlot *slot, std::uint32_t gen);
+    /** Put a GET for @p file on the external fabric from @p node's
+     *  client port, via the LARD front-end when there is one. */
+    void issueRequest(ClientSlot &slot, storage::FileId file, int node,
+                      const RequestOptions &opts = {});
+    void replyFinished(ClientSlot *slot, std::uint32_t gen,
+                       std::uint32_t session_tag);
     void scheduleArrival();
-    /** @p open_word packs the traffic engine's RequestOptions plus the
-     *  session id into one u64 (0 = classic request) so it fits the
-     *  fabric callbacks' inline storage. */
     void requestArrived(int node, storage::FileId file,
                         const net::Payload &wire, ClientSlot *slot,
-                        std::uint32_t gen, std::uint64_t open_word = 0);
+                        std::uint32_t gen, const RequestOptions &opts);
+    /** Send @p file's HTTP response; replyFinished() when it lands. */
+    void sendReply(int node, int client_port, storage::FileId file,
+                   bool keep_alive, ClientSlot *slot, std::uint32_t gen,
+                   std::uint32_t session_tag);
     /** Parse the request text on @p wire and check that its path
      *  resolves to @p file. @return its keep-alive flag; nullopt, with
      *  one more bad request counted, when either step fails. */
@@ -220,10 +222,8 @@ class PressCluster
      *  redraw popularity, pick the class, start a session or issue. */
     void openArrival();
     /** Engine request @p k's draws: the popularity redraw replaces
-     *  @p file; the class draw is returned as its word bit. */
-    std::uint64_t openShape(storage::FileId &file, std::uint64_t k);
-    /** Put one shaped request on the external wire toward @p node. */
-    void openIssue(storage::FileId file, int node, std::uint64_t word);
+     *  @p file; the class draw sets the returned options' class. */
+    RequestOptions openShape(storage::FileId &file, std::uint64_t k);
     /** A session request's reply landed: finish or schedule the next
      *  request after think time. */
     void openSessionAdvance(std::uint32_t sid);
@@ -242,8 +242,6 @@ class PressCluster
      *  confirmation on every survivor, dead-node marks and stuck-slot
      *  scans on the client domain. */
     void setupFaults();
-    void clientMarkDead(int node);
-    void clientMarkAlive(int node);
     /** Re-issue requests stuck on @p node (it died with them). */
     void clientScanDead(int node);
 

@@ -235,21 +235,17 @@ struct PressConfig {
 
     /** Client behaviour. The paper's methodology is closed-loop
      *  ("clients issue new requests as soon as possible"); the
-     *  open-loop mode offers a fixed Poisson arrival rate instead,
-     *  for latency-under-load studies. */
+     *  open-loop mode offers Poisson arrivals at the rate of
+     *  traffic.curve instead, for latency-under-load studies. */
     enum class ClientMode { ClosedLoop, OpenLoop };
     ClientMode clientMode = ClientMode::ClosedLoop;
 
-    /** Total offered load in requests/second (OpenLoop only); used
-     *  when traffic.curve is empty. The default — and every other
-     *  arrival-rate constant — lives in src/traffic (lint-enforced). */
-    double openLoopRate = traffic::DefaultOpenLoopRate;
-
     /**
-     * Open-loop traffic shaping: offered-load curve, popularity drift,
-     * keep-alive sessions, request-class mix (OpenLoop only). The
-     * default TrafficModel is unshaped, reproducing the single-knob
-     * Poisson stream byte-for-byte.
+     * Open-loop traffic (OpenLoop only): the offered-load curve, which
+     * is the open loop's only rate knob and must not be empty, plus
+     * popularity drift, keep-alive sessions and the request-class mix.
+     * Every arrival-rate constant lives in src/traffic (lint-enforced);
+     * traffic::steadyScenario(R) is the classic constant-rate stream.
      */
     traffic::TrafficModel traffic;
 

@@ -194,7 +194,7 @@ int
 ShardedCacheDirectory::shardOf(storage::FileId file, int shards)
 {
     // The same deterministic mix the gossip sampler uses: stable
-    // across runs, platforms and thread counts.
+    // across runs and platforms.
     return static_cast<int>(
         DisseminationEngine::mix64(static_cast<std::uint64_t>(file)) %
         static_cast<std::uint64_t>(shards));

@@ -15,7 +15,7 @@ DisseminationEngine::DisseminationEngine(const Params &p) : _p(p)
     PRESS_ASSERT(p.repeats >= 1, "repeats must be >= 1");
     _loadMaxSeen.assign(static_cast<std::size_t>(p.nodes), 0);
     _cachingSeen.assign(static_cast<std::size_t>(p.nodes), SeqWindow{});
-    _loadSlots.assign(static_cast<std::size_t>(p.nodes), Slot{});
+    _loadSlots.assign(static_cast<std::size_t>(p.nodes), {});
 }
 
 std::uint64_t
@@ -47,13 +47,7 @@ DisseminationEngine::samplePeers(std::uint64_t seed, std::uint64_t round,
         int cand = static_cast<int>(x % static_cast<std::uint64_t>(nodes));
         if (cand == self)
             continue;
-        bool dup = false;
-        for (int p : out)
-            if (p == cand) {
-                dup = true;
-                break;
-            }
-        if (!dup)
+        if (std::find(out.begin(), out.end(), cand) == out.end())
             out.push_back(cand);
     }
 }
@@ -111,32 +105,19 @@ DisseminationEngine::loadDirty(int current) const
     return std::abs(current - _lastAnnouncedLoad) >= _p.threshold;
 }
 
-Rumor
+LoadMsg
 DisseminationEngine::makeOwnLoad(int current, int hops)
 {
     _lastAnnouncedLoad = current;
     _announcedOnce = true;
-    Rumor r;
-    r.isLoad = true;
-    r.origin = _p.self;
-    r.seq = ++_loadSeq;
-    r.load = current;
-    r.hops = hops;
-    return r;
+    return LoadMsg{current, _p.self, ++_loadSeq, hops};
 }
 
-Rumor
+CachingMsg
 DisseminationEngine::makeOwnCaching(storage::FileId file, bool cached,
                                     int hops)
 {
-    Rumor r;
-    r.isLoad = false;
-    r.origin = _p.self;
-    r.seq = ++_cachingSeq;
-    r.file = file;
-    r.cached = cached;
-    r.hops = hops;
-    return r;
+    return CachingMsg{file, cached, _p.self, ++_cachingSeq, hops};
 }
 
 bool
@@ -161,61 +142,73 @@ DisseminationEngine::SeqWindow::accept(std::uint32_t seq)
 }
 
 bool
-DisseminationEngine::accept(const Rumor &r)
+DisseminationEngine::fromPeer(int origin) const
 {
-    PRESS_ASSERT(r.origin >= 0 && r.origin < _p.nodes,
-                 "rumor with bad origin ", r.origin);
-    if (r.origin == _p.self)
-        return false; // own rumor echoed back: nothing to learn
-    auto o = static_cast<std::size_t>(r.origin);
-    if (r.isLoad) {
-        // Latest-value semantics: only strictly newer reports apply.
-        if (r.seq <= _loadMaxSeen[o])
-            return false;
-        _loadMaxSeen[o] = r.seq;
-        return true;
-    }
-    return _cachingSeen[o].accept(r.seq);
+    PRESS_ASSERT(origin >= 0 && origin < _p.nodes, "rumor with bad origin ",
+                 origin);
+    return origin != _p.self; // own rumor echoed back: nothing to learn
+}
+
+bool
+DisseminationEngine::accept(const LoadMsg &r)
+{
+    if (!fromPeer(r.origin))
+        return false;
+    // Latest-value semantics: only strictly newer reports apply.
+    std::uint32_t &seen = _loadMaxSeen[static_cast<std::size_t>(r.origin)];
+    if (r.seq <= seen)
+        return false;
+    seen = r.seq;
+    return true;
+}
+
+bool
+DisseminationEngine::accept(const CachingMsg &r)
+{
+    return fromPeer(r.origin) &&
+           _cachingSeen[static_cast<std::size_t>(r.origin)].accept(r.seq);
 }
 
 void
-DisseminationEngine::enqueueRelay(const Rumor &r)
+DisseminationEngine::enqueueRelay(const LoadMsg &r)
 {
     if (r.hops <= 0)
         return;
-    Rumor relay = r;
-    relay.hops = r.hops - 1;
-    if (relay.isLoad) {
-        auto o = static_cast<std::size_t>(relay.origin);
-        Slot &slot = _loadSlots[o];
-        // A newer report for the same origin supersedes a queued one.
-        if (slot.sendsLeft > 0 && slot.rumor.seq >= relay.seq)
-            return;
-        slot = Slot{relay, _p.repeats};
+    auto &slot = _loadSlots[static_cast<std::size_t>(r.origin)];
+    // A newer report for the same origin supersedes a queued one.
+    if (slot.sendsLeft > 0 && slot.rumor.seq >= r.seq)
         return;
-    }
-    _cachingQueue.push_back(Slot{relay, _p.repeats});
+    slot = {r, _p.repeats};
+    --slot.rumor.hops;
 }
 
 void
-DisseminationEngine::noteDuplicate(const Rumor &r)
+DisseminationEngine::enqueueRelay(const CachingMsg &r)
+{
+    if (r.hops <= 0)
+        return;
+    _cachingQueue.push_back({r, _p.repeats});
+    --_cachingQueue.back().rumor.hops;
+}
+
+void
+DisseminationEngine::noteDuplicate(const LoadMsg &r)
 {
     if (r.hops <= 0 || r.origin == _p.self)
         return;
-    int hops = r.hops - 1;
-    if (r.isLoad) {
-        Slot &slot = _loadSlots[static_cast<std::size_t>(r.origin)];
-        if (slot.sendsLeft > 0 && slot.rumor.seq == r.seq &&
-            slot.rumor.hops < hops)
-            slot.rumor.hops = hops;
+    auto &slot = _loadSlots[static_cast<std::size_t>(r.origin)];
+    if (slot.sendsLeft > 0 && slot.rumor.seq == r.seq)
+        slot.rumor.hops = std::max(slot.rumor.hops, r.hops - 1);
+}
+
+void
+DisseminationEngine::noteDuplicate(const CachingMsg &r)
+{
+    if (r.hops <= 0 || r.origin == _p.self)
         return;
-    }
-    for (Slot &slot : _cachingQueue)
-        if (slot.rumor.origin == r.origin && slot.rumor.seq == r.seq) {
-            if (slot.rumor.hops < hops)
-                slot.rumor.hops = hops;
-            return;
-        }
+    for (auto &slot : _cachingQueue) // (origin, seq) is unique
+        if (slot.rumor.origin == r.origin && slot.rumor.seq == r.seq)
+            slot.rumor.hops = std::max(slot.rumor.hops, r.hops - 1);
 }
 
 void
@@ -224,7 +217,7 @@ DisseminationEngine::sortCachingQueue()
     // (origin, seq) is unique per rumor, so the order is total and the
     // sort need not be stable.
     std::sort(_cachingQueue.begin(), _cachingQueue.end(),
-              [](const Slot &a, const Slot &b) {
+              [](const Slot<CachingMsg> &a, const Slot<CachingMsg> &b) {
                   if (a.rumor.seq != b.rumor.seq)
                       return a.rumor.seq < b.rumor.seq;
                   return a.rumor.origin < b.rumor.origin;
@@ -234,21 +227,17 @@ DisseminationEngine::sortCachingQueue()
 void
 DisseminationEngine::queueOwnCaching(storage::FileId file, bool cached)
 {
-    Rumor r = makeOwnCaching(file, cached, gossipTtl(_p.nodes, _p.fanout));
-    _cachingQueue.push_back(Slot{r, _p.repeats});
+    _cachingQueue.push_back(
+        {makeOwnCaching(file, cached, gossipTtl(_p.nodes, _p.fanout)),
+         _p.repeats});
 }
 
 bool
 DisseminationEngine::hasWork(int current_load) const
 {
-    if (loadDirty(current_load))
-        return true;
-    if (!_cachingQueue.empty())
-        return true;
-    for (const Slot &s : _loadSlots)
-        if (s.sendsLeft > 0)
-            return true;
-    return false;
+    return loadDirty(current_load) || !_cachingQueue.empty() ||
+           std::any_of(_loadSlots.begin(), _loadSlots.end(),
+                       [](const auto &s) { return s.sendsLeft > 0; });
 }
 
 } // namespace press::core

@@ -7,9 +7,13 @@
  * all-to-all: every update costs N-1 messages and every node sends
  * them, O(N^2) cluster-wide. DisseminationEngine implements the two
  * scalable alternatives behind Dissemination::Kind::Gossip and
- * Kind::Tree:
+ * Kind::Tree. A *rumor* is a Table-2 load or caching message that
+ * names the node it describes: a LoadMsg or CachingMsg with
+ * origin >= 0, stamped with the origin's sequence number and a hop
+ * count (messages.hpp). The engine queues, filters and emits those
+ * wire structs directly.
  *
- *  - **Gossip**: broadcast-worthy updates become *rumors*. Each round
+ *  - **Gossip**: broadcast-worthy updates become rumors. Each round
  *    (every Dissemination::interval, scheduled lazily only while work
  *    is pending) a node pushes every due rumor — own load first, then
  *    queued relays — to a fanout-k sample of peers, packed into at
@@ -33,10 +37,9 @@
  *
  * Determinism contract: peer samples derive from (seed, round, self)
  * through a splitmix64 hash chain — no global RNG, no state shared
- * across nodes — so runs are bit-identical for any thread count and
- * the tick-race hunter's cross-domain permutations cannot move
- * results. All engine state is touched only from its owner node's
- * scheduling domain.
+ * across nodes — so runs are bit-identical and the tick-race hunter's
+ * cross-domain permutations cannot move results. All engine state is
+ * touched only from its owner node's scheduling domain.
  */
 
 #ifndef PRESS_CORE_DISSEMINATION_HPP
@@ -45,21 +48,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "storage/file_set.hpp"
 
 namespace press::core {
-
-/** One disseminated update, as carried in LoadMsg/CachingMsg
- *  (origin/seq/hops fields). */
-struct Rumor {
-    bool isLoad = true;  ///< load report (else caching information)
-    int origin = -1;     ///< node the update describes
-    std::uint32_t seq = 0; ///< origin's per-stream sequence number
-    int load = 0;          ///< load rumors: the reported value
-    storage::FileId file = storage::InvalidFile; ///< caching rumors
-    bool cached = false;                         ///< caching rumors
-    int hops = 0; ///< gossip: remaining relays; tree: hops travelled
-};
 
 /** Per-node gossip/tree bookkeeping (see file comment). */
 class DisseminationEngine
@@ -116,10 +108,10 @@ class DisseminationEngine
     /** Stamp a fresh own-load rumor (bumps the load seq, records
      *  @p current as announced). Gossip: hops = ttl; the caller
      *  enqueues/sends it. Tree: reuse with hops = 0. */
-    Rumor makeOwnLoad(int current, int hops);
+    LoadMsg makeOwnLoad(int current, int hops);
 
     /** Stamp a fresh own caching-information rumor. */
-    Rumor makeOwnCaching(storage::FileId file, bool cached, int hops);
+    CachingMsg makeOwnCaching(storage::FileId file, bool cached, int hops);
 
     // ------------------------------------------------------ receive side
 
@@ -135,11 +127,13 @@ class DisseminationEngine
      *         directories. Gossip relaying is handled separately via
      *         enqueueRelay().
      */
-    bool accept(const Rumor &r);
+    bool accept(const LoadMsg &r);
+    bool accept(const CachingMsg &r);
 
-    /** Queue a relay copy of an accepted gossip rumor (hop budget
-     *  already decremented by the caller-agnostic logic inside). */
-    void enqueueRelay(const Rumor &r);
+    /** Queue a relay copy of an accepted gossip rumor with one hop
+     *  less budget (a spent budget queues nothing). */
+    void enqueueRelay(const LoadMsg &r);
+    void enqueueRelay(const CachingMsg &r);
 
     /**
      * Order-insensitivity hook: a rumor that accept() rejected as a
@@ -149,7 +143,8 @@ class DisseminationEngine
      * a pure function of the rumor set, whatever order the fabric
      * delivered same-tick copies in (the tick-race hunter checks).
      */
-    void noteDuplicate(const Rumor &r);
+    void noteDuplicate(const LoadMsg &r);
+    void noteDuplicate(const CachingMsg &r);
 
     /** Stamp an own caching-information rumor with the full gossip hop
      *  budget and queue it for the coming rounds. */
@@ -163,9 +158,10 @@ class DisseminationEngine
 
     /**
      * Run one gossip round: sample this round's peers and invoke
-     * @p send(dst, rumor) for every (due rumor, peer) pair — own load
-     * first when dirty, then caching rumors oldest first, then relayed
-     * loads by ascending origin. Every due rumor goes out every round
+     * @p send(dst, rumor) for every (due rumor, peer) pair, with a
+     * const LoadMsg& or a const CachingMsg& — own load first when
+     * dirty, then caching rumors oldest first, then relayed loads by
+     * ascending origin. Every due rumor goes out every round
      * (the caller packs them into per-peer digests, so the wire cost
      * is O(fanout) messages regardless); each push drops the rumor's
      * sendsLeft by one and drained rumors leave the queue, so a rumor
@@ -176,21 +172,18 @@ class DisseminationEngine
     runRound(int current_load, SendFn &&send)
     {
         ++_round;
-        if (loadDirty(current_load)) {
-            Rumor r = makeOwnLoad(current_load,
-                                  gossipTtl(_p.nodes, _p.fanout));
-            _loadSlots[_p.self] = Slot{r, _p.repeats};
-        }
+        if (loadDirty(current_load))
+            _loadSlots[_p.self] = {
+                makeOwnLoad(current_load, gossipTtl(_p.nodes, _p.fanout)),
+                _p.repeats};
         samplePeers(_p.seed, _round, _p.self, _p.nodes, _p.fanout,
                     _peerScratch);
         if (_peerScratch.empty())
             return;
 
-        auto push = [&](Slot &slot) {
-            for (int peer : _peerScratch) {
+        auto push = [&](auto &slot) {
+            for (int peer : _peerScratch)
                 send(peer, slot.rumor);
-                ++_rumorSends;
-            }
             --slot.sendsLeft;
         };
         // Own load gets the first slot of every round.
@@ -201,7 +194,7 @@ class DisseminationEngine
         // same-tick arrivals enqueue in fabric-delivery order, which
         // the tick-race hunter's cross-domain permutations may swap.
         sortCachingQueue();
-        for (Slot &slot : _cachingQueue)
+        for (auto &slot : _cachingQueue)
             push(slot);
         std::size_t w = 0;
         for (std::size_t r = 0; r < _cachingQueue.size(); ++r) {
@@ -222,17 +215,18 @@ class DisseminationEngine
 
     std::uint64_t round() const { return _round; }
 
-    /** Total (rumor, peer) pushes — the analytic message count the
-     *  table-2 bench cross-checks against comm.tx counters. */
-    std::uint64_t rumorSends() const { return _rumorSends; }
-
     const Params &params() const { return _p; }
 
   private:
+    /** A queued rumor and the rounds it still goes out in. */
+    template <typename Msg>
     struct Slot {
-        Rumor rumor;
+        Msg rumor;
         int sendsLeft = 0;
     };
+
+    /** Shared accept() check: @p origin is a valid peer, not self. */
+    bool fromPeer(int origin) const;
 
     /** Canonical queue order: ascending (seq, origin) — approximate
      *  arrival age, independent of same-tick delivery order. */
@@ -255,12 +249,12 @@ class DisseminationEngine
     std::vector<std::uint32_t> _loadMaxSeen;  ///< per-origin, 0 = none
     std::vector<SeqWindow> _cachingSeen;      ///< per-origin
 
-    std::vector<Slot> _loadSlots; ///< one pending load rumor per origin
-    std::vector<Slot> _cachingQueue;
+    /** One pending load rumor per origin. */
+    std::vector<Slot<LoadMsg>> _loadSlots;
+    std::vector<Slot<CachingMsg>> _cachingQueue;
 
     std::vector<int> _peerScratch;
     std::uint64_t _round = 0;
-    std::uint64_t _rumorSends = 0;
 };
 
 } // namespace press::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "core/wire.hpp"
 #include "util/logging.hpp"
@@ -38,45 +39,36 @@ PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
       _cacheDir(config.nodes),
       _loadDir(config.nodes, id)
 {
+    using Kind = Dissemination::Kind;
+    const Dissemination &d = config.dissemination;
     _comm.setHandler([this](const Incoming &in) { onMessage(in); });
-    if (_config.dissemination.kind == Dissemination::Kind::PiggyBack)
+    if (d.kind == Kind::PiggyBack)
         _comm.setLoadProvider([this]() { return load(); });
 
-    using Kind = Dissemination::Kind;
-    Kind kind = _config.dissemination.kind;
-    bool lc = _config.distribution == Distribution::LocalityConscious;
-
-    if (lc && _config.directoryMode == DirectoryMode::Sharded)
+    bool lc = config.distribution == Distribution::LocalityConscious;
+    if (lc && config.directoryMode == DirectoryMode::Sharded)
         _shardDir = std::make_unique<ShardedCacheDirectory>(
             config.nodes, id, config.dirShards, config.dirHotSet);
 
-    // Gossip/tree need an engine; a single-node cluster has nobody to
-    // tell, so both degenerate to Off (no rounds, no waves).
-    if (lc && config.nodes > 1 &&
-        (kind == Kind::Gossip || kind == Kind::Tree)) {
+    if (!lc || d.kind == Kind::None) {
+        _path = Path::Off;
+    } else if (d.kind == Kind::PiggyBack) {
+        _path = Path::PiggyBack;
+    } else if (d.kind == Kind::Broadcast) {
+        _path = Path::Broadcast;
+    } else if (config.nodes == 1) {
+        _path = Path::Off; // gossip/tree with nobody to tell
+    } else {
+        _path = d.kind == Kind::Gossip ? Path::Gossip : Path::Tree;
         DisseminationEngine::Params p;
         p.nodes = config.nodes;
         p.self = id;
-        p.fanout = _config.dissemination.fanout;
-        p.threshold = _config.dissemination.threshold;
-        p.repeats = _config.dissemination.gossipRepeats;
+        p.fanout = d.fanout;
+        p.threshold = d.threshold;
+        p.repeats = d.gossipRepeats;
         p.seed = config.seed; // cluster-wide; samples mix in (round, self)
         _dissem = std::make_unique<DisseminationEngine>(p);
-        _treeScratch.reserve(
-            static_cast<std::size_t>(_config.dissemination.fanout));
-    }
-
-    if (!lc || kind == Kind::None) {
-        _loadPath = LoadPath::Off;
-    } else if (kind == Kind::PiggyBack) {
-        _loadPath = LoadPath::PiggyBack;
-    } else if (kind == Kind::Broadcast) {
-        _loadPath = LoadPath::Broadcast;
-    } else if (_dissem) {
-        _loadPath =
-            kind == Kind::Gossip ? LoadPath::Gossip : LoadPath::Tree;
-    } else {
-        _loadPath = LoadPath::Off; // gossip/tree on one node
+        _treeScratch.reserve(static_cast<std::size_t>(d.fanout));
     }
 }
 
@@ -213,25 +205,14 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     }
 
     // Rule 3: first access anywhere -> local (brings it into the
-    // cluster cache). Fault mode additionally masks out nodes not
-    // currently believed Alive (the suspect window, before the
-    // directory itself is repaired).
-    if (_faultActive)
-        for (int j = 0; j < _config.nodes; ++j)
-            if (mask.test(j) && !_view->aliveNode(j))
-                mask.clear(j);
-    if (mask.none()) {
+    // cluster cache). Rule 4: otherwise pick a service node among the
+    // caching nodes.
+    int candidate = serviceNodeIn(mask);
+    if (candidate < 0) {
         decided(obs::DispatchDecision::FirstTouch);
         serveLocal(file, tag);
         return;
     }
-
-    // Rule 4: pick a service node among the caching nodes; without
-    // load information any caching node will do.
-    int candidate = _config.dissemination.kind == Dissemination::Kind::None
-                        ? randomIn(mask, _rng, _config.nodes)
-                        : leastLoadedIn(mask, _loadDir, _config.nodes);
-    PRESS_ASSERT(candidate >= 0, "non-empty mask without candidate");
     if (candidate == _id) {
         decided(obs::DispatchDecision::SelfBest);
         serveLocal(file, tag);
@@ -252,10 +233,25 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     }
 }
 
+int
+PressServer::serviceNodeIn(NodeMask mask, int exclude)
+{
+    // Fault mode masks out nodes not currently believed Alive (the
+    // suspect window, before the directory itself is repaired).
+    if (_faultActive)
+        for (int j = 0; j < _config.nodes; ++j)
+            if (mask.test(j) && !_view->aliveNode(j))
+                mask.clear(j);
+    // Without load information any caching node will do.
+    return _path == Path::Off
+               ? randomIn(mask, _rng, _config.nodes, exclude)
+               : leastLoadedIn(mask, _loadDir, _config.nodes, exclude);
+}
+
 bool
 PressServer::forwardTo(int candidate, int initial_load) const
 {
-    if (_config.dissemination.kind == Dissemination::Kind::None)
+    if (_path == Path::Off)
         return true;
     int t = _config.overloadThreshold;
     if (_loadDir.load(candidate) <= t)
@@ -298,22 +294,11 @@ PressServer::handleDirLookup(int from, const ForwardMsg &msg)
                 return;
             }
 
-            if (_faultActive) {
-                for (int j = 0; j < _config.nodes; ++j)
-                    if (mask.test(j) && !_view->aliveNode(j))
-                        mask.clear(j);
-            }
-
             // Candidate pick excludes the initial node: if it were the
             // best caching node its rule 2 would have kept the request,
             // so its directory bit is stale and it serves from disk at
             // home just the same.
-            int candidate;
-            if (_config.dissemination.kind == Dissemination::Kind::None)
-                candidate = randomIn(mask, _rng, _config.nodes, origin);
-            else
-                candidate =
-                    leastLoadedIn(mask, _loadDir, _config.nodes, origin);
+            int candidate = serviceNodeIn(mask, origin);
             if (candidate < 0) {
                 // Nobody (else) caches it: first touch at the initial
                 // node, exactly the paper's rule 3.
@@ -439,10 +424,7 @@ PressServer::onMessage(const Incoming &in)
         // below: the Alive announcement of a restarted node arrives
         // while the view still says Dead.
         if (_view)
-            applyMembership(msg->subject,
-                            static_cast<fault::NodeState>(msg->state),
-                            msg->epoch, msg->origin, msg->hops,
-                            /*relay=*/true);
+            applyMembership(*msg, /*relay=*/true);
         return;
     }
 
@@ -461,7 +443,7 @@ PressServer::onMessage(const Incoming &in)
       case MsgKind::Load: {
         if (const auto *digest = bodyAs<LoadDigestMsg>(in)) {
             for (const LoadMsg &r : digest->rumors)
-                handleLoadRumor(r);
+                handleRumor(r);
             break;
         }
         const auto *msg = bodyAs<LoadMsg>(in);
@@ -469,19 +451,19 @@ PressServer::onMessage(const Incoming &in)
         if (msg->origin < 0)
             _loadDir.update(in.from, msg->load);
         else
-            handleLoadRumor(*msg);
+            handleRumor(*msg);
         break;
       }
       case MsgKind::Caching: {
         if (const auto *digest = bodyAs<CachingDigestMsg>(in)) {
             for (const CachingMsg &r : digest->rumors)
-                handleCachingRumor(r);
+                handleRumor(r);
             break;
         }
         const auto *msg = bodyAs<CachingMsg>(in);
         PRESS_ASSERT(msg, "Caching message without body");
         if (msg->origin >= 0) {
-            handleCachingRumor(*msg);
+            handleRumor(*msg);
         } else if (_shardDir) {
             // Unicast owner update in sharded mode. Mid-churn the
             // shard may have moved away between send and arrival.
@@ -641,7 +623,7 @@ PressServer::insertIntoCache(FileId file)
     if (_config.distribution != Distribution::LocalityConscious)
         return;
 
-    if (_dissem && _config.dissemination.kind == Dissemination::Kind::Gossip) {
+    if (_path == Path::Gossip) {
         // Queue own caching rumors; rounds drain them to fanout-k peer
         // samples instead of all N-1 nodes.
         _dissem->queueOwnCaching(file, true);
@@ -650,7 +632,7 @@ PressServer::insertIntoCache(FileId file)
         scheduleGossipRound();
         return;
     }
-    if (_dissem && _config.dissemination.kind == Dissemination::Kind::Tree) {
+    if (_path == Path::Tree) {
         emitCachingWave(file, true);
         for (const auto &ev : evicted)
             emitCachingWave(ev.file, false);
@@ -669,19 +651,19 @@ PressServer::insertIntoCache(FileId file)
 void
 PressServer::loadChanged()
 {
-    // LoadPath::Off covers every configuration in which nobody reads
-    // the load directory (non-locality-conscious distributions and
+    // Path::Off covers every configuration in which nobody reads the
+    // load directory (non-locality-conscious distributions and
     // Kind::None), so the per-request hot path is a single branch.
-    if (_loadPath == LoadPath::Off)
+    if (_path == Path::Off)
         return;
 
     int current = load();
     _loadDir.setSelf(current);
 
-    switch (_loadPath) {
-      case LoadPath::PiggyBack:
+    switch (_path) {
+      case Path::PiggyBack:
         return; // rides on outgoing messages via the load provider
-      case LoadPath::Broadcast: {
+      case Path::Broadcast: {
         if (std::abs(current - _lastBroadcastLoad) <
             _config.dissemination.threshold)
             return;
@@ -693,17 +675,17 @@ PressServer::loadChanged()
         }
         return;
       }
-      case LoadPath::Gossip:
+      case Path::Gossip:
         // A dirty load makes the next round worth running; the round
         // itself stamps and pushes the rumor (temporal coalescing: at
         // most one announcement per interval however fast load moves).
         if (_dissem->loadDirty(current))
             scheduleGossipRound();
         return;
-      case LoadPath::Tree:
+      case Path::Tree:
         maybeEmitLoadWave();
         return;
-      case LoadPath::Off:
+      case Path::Off:
         return;
     }
 }
@@ -712,87 +694,47 @@ PressServer::loadChanged()
 // Gossip/tree dissemination
 // ---------------------------------------------------------------------
 
+template <typename Msg>
 void
-PressServer::sendRumor(int dst, const Rumor &rumor)
+PressServer::handleRumor(const Msg &msg)
 {
-    if (rumor.isLoad)
-        _comm.send(
-            dst, LoadMsg{rumor.load, rumor.origin, rumor.seq, rumor.hops});
-    else
-        _comm.send(dst, CachingMsg{rumor.file, rumor.cached, rumor.origin,
-                                   rumor.seq, rumor.hops});
-}
-
-void
-PressServer::handleLoadRumor(const LoadMsg &msg)
-{
-    PRESS_ASSERT(_dissem, "load rumor without a dissemination engine");
-    Rumor r;
-    r.isLoad = true;
-    r.origin = msg.origin;
-    r.seq = msg.seq;
-    r.load = msg.load;
-    r.hops = msg.hops;
-    if (!_dissem->accept(r)) {
+    PRESS_ASSERT(_dissem, "rumor without a dissemination engine");
+    if (!_dissem->accept(msg)) {
         // A rejected copy may still widen the queued relay's hop
         // budget (same-tick delivery order is not guaranteed).
-        if (_config.dissemination.kind == Dissemination::Kind::Gossip)
-            _dissem->noteDuplicate(r);
+        if (_path == Path::Gossip)
+            _dissem->noteDuplicate(msg);
         return;
     }
-    // Rumors about a node believed down must not clobber the DeadLoad
-    // sentinel; the relay still runs so the rumor dies out normally.
-    if (nodeUsable(r.origin))
-        _loadDir.update(r.origin, r.load);
-    if (_config.dissemination.kind == Dissemination::Kind::Gossip) {
-        _dissem->enqueueRelay(r);
+    // News about a node believed down must not clobber its DeadLoad
+    // sentinel or resurrect directory bits recoverFromDeath() just
+    // dropped; the relay still runs so the rumor dies out normally.
+    if (nodeUsable(msg.origin)) {
+        if constexpr (std::is_same_v<Msg, LoadMsg>) {
+            _loadDir.update(msg.origin, msg.load);
+        } else {
+            PRESS_ASSERT(!_shardDir, "caching rumor in sharded mode");
+            _cacheDir.update(msg.origin, msg.file, msg.cached);
+        }
+    }
+    if (_path == Path::Gossip) {
+        _dissem->enqueueRelay(msg);
         scheduleGossipRound();
     } else {
-        relayTreeRumor(r);
+        relayTree(msg);
     }
 }
 
+template <typename Msg>
 void
-PressServer::handleCachingRumor(const CachingMsg &msg)
+PressServer::relayTree(Msg msg)
 {
-    PRESS_ASSERT(_dissem, "caching rumor without a dissemination engine");
-    PRESS_ASSERT(!_shardDir, "caching rumors are replicated-mode only");
-    Rumor r;
-    r.isLoad = false;
-    r.origin = msg.origin;
-    r.seq = msg.seq;
-    r.file = msg.file;
-    r.cached = msg.cached;
-    r.hops = msg.hops;
-    if (!_dissem->accept(r)) {
-        if (_config.dissemination.kind == Dissemination::Kind::Gossip)
-            _dissem->noteDuplicate(r);
-        return;
-    }
-    // Stale caching news about a dead node would resurrect directory
-    // bits recoverFromDeath() just dropped.
-    if (nodeUsable(r.origin))
-        _cacheDir.update(r.origin, r.file, r.cached);
-    if (_config.dissemination.kind == Dissemination::Kind::Gossip) {
-        _dissem->enqueueRelay(r);
-        scheduleGossipRound();
-    } else {
-        relayTreeRumor(r);
-    }
-}
-
-void
-PressServer::relayTreeRumor(const Rumor &rumor)
-{
-    DisseminationEngine::treeChildren(_id, rumor.origin,
+    DisseminationEngine::treeChildren(_id, msg.origin,
                                       _config.dissemination.fanout,
                                       _config.nodes, _treeScratch);
-    if (_treeScratch.empty())
-        return;
-    Rumor fwd = rumor;
-    fwd.hops = rumor.hops + 1;
+    ++msg.hops;
     for (int child : _treeScratch)
-        sendRumor(child, fwd);
+        _comm.send(child, msg);
 }
 
 void
@@ -807,7 +749,7 @@ PressServer::scheduleGossipRound()
     // ticks at a shared destination — a genuine tick race (delivery
     // order would decide trace/credit interleaving). The jitter is a
     // pure function of (seed, self, next round) — no RNG state — so
-    // runs stay bit-identical for any thread count.
+    // runs stay bit-identical.
     sim::Tick base = _config.dissemination.interval;
     std::uint64_t h = DisseminationEngine::mix64(
         _config.seed ^ (static_cast<std::uint64_t>(_id) << 40) ^
@@ -845,16 +787,9 @@ PressServer::runGossipRound()
     // cross-checks — while the wire carries O(fanout) messages per
     // round however many rumors are due.
     _digestsUsed = 0;
-    _dissem->runRound(load(), [this](int dst, const Rumor &rumor) {
+    _dissem->runRound(load(), [this](int dst, const auto &rumor) {
         ++_stats.gossipRumorSends;
-        PeerDigest &d = digestFor(dst);
-        if (rumor.isLoad)
-            d.load.rumors.push_back(
-                LoadMsg{rumor.load, rumor.origin, rumor.seq, rumor.hops});
-        else
-            d.caching.rumors.push_back(CachingMsg{rumor.file, rumor.cached,
-                                                  rumor.origin, rumor.seq,
-                                                  rumor.hops});
+        digestFor(dst).add(rumor);
     });
     for (std::size_t i = 0; i < _digestsUsed; ++i) {
         PeerDigest &d = _digestScratch[i];
@@ -896,17 +831,15 @@ void
 PressServer::emitLoadWave(int current)
 {
     ++_stats.loadWaves;
-    Rumor r = _dissem->makeOwnLoad(current, /*hops=*/0);
     _nextWaveAt = _sim.now() + _config.dissemination.interval;
-    relayTreeRumor(r);
+    relayTree(_dissem->makeOwnLoad(current, /*hops=*/0));
 }
 
 void
 PressServer::emitCachingWave(FileId file, bool cached)
 {
     ++_stats.cachingWaves;
-    Rumor r = _dissem->makeOwnCaching(file, cached, /*hops=*/0);
-    relayTreeRumor(r);
+    relayTree(_dissem->makeOwnCaching(file, cached, /*hops=*/0));
 }
 
 // ---------------------------------------------------------------------
@@ -953,18 +886,10 @@ PressServer::teardownVolatile()
     if (_shardDir)
         _shardDir = std::make_unique<ShardedCacheDirectory>(
             _config.nodes, _id, _config.dirShards, _config.dirHotSet);
-    if (_dissem) {
-        // Fresh engine: the revived node restarts its rumor sequence
-        // space under a fresh incarnation, matching the cold cache.
-        DisseminationEngine::Params p;
-        p.nodes = _config.nodes;
-        p.self = _id;
-        p.fanout = _config.dissemination.fanout;
-        p.threshold = _config.dissemination.threshold;
-        p.repeats = _config.dissemination.gossipRepeats;
-        p.seed = _config.seed;
-        _dissem = std::make_unique<DisseminationEngine>(p);
-    }
+    // Fresh engine: the revived node restarts its rumor sequence space
+    // under a fresh incarnation, matching the cold cache.
+    if (_dissem)
+        _dissem = std::make_unique<DisseminationEngine>(_dissem->params());
     _openConnections = 0;
     _servicingRemote = 0;
     _lastBroadcastLoad = 0;
@@ -1005,13 +930,7 @@ PressServer::faultRestart(std::uint32_t epoch)
     _sim.schedule(_config.fault.suspectDelay, [this, epoch]() {
         if (_crashed)
             return;
-        MembershipMsg m;
-        m.subject = _id;
-        m.state = static_cast<std::uint8_t>(fault::NodeState::Alive);
-        m.epoch = epoch;
-        m.origin = _id;
-        m.hops = 0;
-        disseminateMembership(m);
+        disseminateMembership(news(_id, fault::NodeState::Alive, epoch));
     });
 }
 
@@ -1026,13 +945,7 @@ PressServer::faultLeave(std::uint32_t epoch)
     PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ViewChanged,
                         obs::requestId(_id, 0),
                         obs::packKindBytes(_id, epoch));
-    MembershipMsg m;
-    m.subject = _id;
-    m.state = static_cast<std::uint8_t>(fault::NodeState::Left);
-    m.epoch = epoch;
-    m.origin = _id;
-    m.hops = 0;
-    disseminateMembership(m);
+    disseminateMembership(news(_id, fault::NodeState::Left, epoch));
 }
 
 void
@@ -1071,7 +984,7 @@ PressServer::peerGone(int peer, std::uint32_t epoch,
     PRESS_ASSERT(state == fault::NodeState::Dead ||
                      state == fault::NodeState::Left,
                  "peerGone wants Dead or Left");
-    applyMembership(peer, state, epoch, _id, /*hops=*/0, /*relay=*/true);
+    applyMembership(news(peer, state, epoch), /*relay=*/true);
 }
 
 void
@@ -1082,8 +995,8 @@ PressServer::peerLeftTeardown(int peer, std::uint32_t epoch)
     // Force the view in case the Left rumor never arrived, then tear
     // down through the once-per-departure gate (the rumor path may
     // already have scheduled the same teardown).
-    applyMembership(peer, fault::NodeState::Left, epoch, _id,
-                    /*hops=*/0, /*relay=*/false);
+    applyMembership(news(peer, fault::NodeState::Left, epoch),
+                    /*relay=*/false);
     leftHardTeardown(peer, epoch);
 }
 
@@ -1102,15 +1015,24 @@ PressServer::peerRestarted(int peer, std::uint32_t epoch)
 {
     if (_crashed)
         return;
-    applyMembership(peer, fault::NodeState::Alive, epoch, _id,
-                    /*hops=*/0, /*relay=*/true);
+    applyMembership(news(peer, fault::NodeState::Alive, epoch),
+                    /*relay=*/true);
+}
+
+MembershipMsg
+PressServer::news(int subject, fault::NodeState state, std::uint32_t epoch,
+                  int hops) const
+{
+    return MembershipMsg{subject, static_cast<std::uint8_t>(state), epoch,
+                         _id, hops};
 }
 
 void
-PressServer::applyMembership(int subject, fault::NodeState state,
-                             std::uint32_t epoch, int origin, int hops,
-                             bool relay)
+PressServer::applyMembership(const MembershipMsg &msg, bool relay)
 {
+    const int subject = msg.subject;
+    const auto state = static_cast<fault::NodeState>(msg.state);
+    const std::uint32_t epoch = msg.epoch;
     if (!_view->apply(subject, state, epoch, _sim.now()))
         return; // stale or duplicate news
     PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ViewChanged,
@@ -1146,22 +1068,13 @@ PressServer::applyMembership(int subject, fault::NodeState state,
             break;
         }
     }
-    if (relay) {
-        MembershipMsg m;
-        m.subject = subject;
-        m.state = static_cast<std::uint8_t>(state);
-        m.epoch = epoch;
-        m.origin = origin;
-        m.hops = hops;
-        disseminateMembership(m);
-    }
+    if (relay)
+        disseminateMembership(msg);
 }
 
 void
 PressServer::disseminateMembership(const MembershipMsg &msg)
 {
-    using Kind = Dissemination::Kind;
-    Kind kind = _config.dissemination.kind;
     MembershipMsg out = msg;
     out.hops = msg.hops + 1;
 
@@ -1172,7 +1085,7 @@ PressServer::disseminateMembership(const MembershipMsg &msg)
         _comm.send(dst, out);
     };
 
-    if (_dissem && kind == Kind::Gossip) {
+    if (_path == Path::Gossip) {
         // Fanout-k sample, reseeded per (epoch, hop) so successive
         // hops cover different peers; bounded by the same TTL the
         // load/caching rumors use.
@@ -1189,7 +1102,7 @@ PressServer::disseminateMembership(const MembershipMsg &msg)
             push(p);
         return;
     }
-    if (_dissem && kind == Kind::Tree) {
+    if (_path == Path::Tree) {
         // Source-rooted k-ary subtree, like every other tree wave.
         int root = msg.origin >= 0 && msg.origin < _config.nodes
                        ? msg.origin
@@ -1295,13 +1208,7 @@ PressServer::recoverFromRejoin(int peer)
     for (int n = 0; n < _config.nodes; ++n) {
         if (n == _id || n == peer || _view->epoch(n) == 0)
             continue;
-        MembershipMsg m;
-        m.subject = n;
-        m.state = static_cast<std::uint8_t>(_view->state(n));
-        m.epoch = _view->epoch(n);
-        m.origin = _id;
-        m.hops = 1;
-        _comm.send(peer, m);
+        _comm.send(peer, news(n, _view->state(n), _view->epoch(n), 1));
         ++_stats.membershipSends;
     }
     _loadDir.update(peer, 0);

@@ -53,7 +53,7 @@ struct RequestOptions {
     bool dynamic = false;    ///< dynamic-content class: CPU-generated page
     std::uint8_t sessionPhase = 0; ///< bit 0: first request of a session,
                                    ///< bit 1: last request of a session
-    std::uint32_t sessionTag = 0;  ///< obs session-span tag (with phase)
+    std::uint32_t sessionTag = 0;  ///< obs session-span tag; 0 = no session
 };
 
 /** Counters one server instance accumulates. */
@@ -143,7 +143,6 @@ class PressServer
     }
 
     const storage::FileCache &cache() const { return _cache; }
-    const CacheDirectory &cacheDirectory() const { return _cacheDir; }
     const LoadDirectory &loadDirectory() const { return _loadDir; }
     int id() const { return _id; }
 
@@ -151,12 +150,6 @@ class PressServer
     const ShardedCacheDirectory *shardDirectory() const
     {
         return _shardDir.get();
-    }
-
-    /** Gossip/tree engine (null for the paper's dissemination kinds). */
-    const DisseminationEngine *dissemination() const
-    {
-        return _dissem.get();
     }
 
     /** Directory entries this node stores: replicated nodes track every
@@ -205,7 +198,6 @@ class PressServer
     /** A leaver's drain window closed: tear down the connection and
      *  run recovery (the Left rumor itself only stops new work). */
     void peerLeftTeardown(int peer, std::uint32_t epoch);
-    void leftHardTeardown(int peer, std::uint32_t epoch);
 
     /** A restarted/joined peer announced itself Alive again. */
     void peerRestarted(int peer, std::uint32_t epoch);
@@ -227,15 +219,21 @@ class PressServer
         int retries = 0;
     };
 
-    /** How loadChanged() publishes this node's load; fixed at
-     *  construction so the hot path is one branch. Off covers
-     *  non-locality-conscious distributions, Kind::None, and
-     *  single-node clusters (nothing to tell anyone). */
-    enum class LoadPath { Off, PiggyBack, Broadcast, Gossip, Tree };
+    /** How this node spreads load, caching and membership news; decided
+     *  once, at construction. Off: no load information (non-locality-
+     *  conscious, Kind::None, or gossip/tree on one node). Only Gossip
+     *  and Tree send rumors; the others broadcast caching news. */
+    enum class Path { Off, PiggyBack, Broadcast, Gossip, Tree };
 
     /** Distribution decision for a parsed request (rules 1-4, against
      *  the replicated or the sharded cache directory). */
     void dispatch(storage::FileId file, std::uint32_t tag);
+
+    /** Rule 4's service node among @p mask's members other than
+     *  @p exclude: the least-loaded one, or any one without load
+     *  information. Fault mode skips nodes not believed Alive.
+     *  @return -1 when no member qualifies (rule 3: first touch). */
+    int serviceNodeIn(NodeMask mask, int exclude = -1);
 
     /** Rule 4's overload test: forward to @p candidate unless it is
      *  overloaded while the initial node (at @p initial_load) or the
@@ -265,12 +263,14 @@ class PressServer
     void serviceRemote(int home, storage::FileId file, std::uint32_t tag);
 
     // --- gossip/tree dissemination -----------------------------------
-    void sendRumor(int dst, const Rumor &rumor);
-    void handleLoadRumor(const LoadMsg &msg);
-    void handleCachingRumor(const CachingMsg &msg);
-    /** Forward an accepted rumor down this node's subtree of the k-ary
-     *  tree rooted at the rumor's origin. */
-    void relayTreeRumor(const Rumor &rumor);
+    /** A LoadMsg or CachingMsg rumor arrived: filter duplicates, apply
+     *  it unless it is about a node believed down, and relay it. */
+    template <typename Msg>
+    void handleRumor(const Msg &msg);
+    /** Send @p msg, one hop further, down this node's subtree of the
+     *  k-ary tree rooted at its origin. */
+    template <typename Msg>
+    void relayTree(Msg msg);
     /** Arm a gossip round `interval` from now (idempotent). */
     void scheduleGossipRound();
     void runGossipRound();
@@ -282,14 +282,21 @@ class PressServer
 
     // --- fault recovery ----------------------------------------------
 
+    /** "Node @p subject is in @p state as of @p epoch", first heard
+     *  here (origin = this node). */
+    MembershipMsg news(int subject, fault::NodeState state,
+                       std::uint32_t epoch, int hops = 0) const;
+
     /**
      * Merge a membership change into the view; on acceptance trace it,
      * run the matching comm/directory transition and recovery, and
      * (when @p relay) disseminate it onward per the configured kind.
      */
-    void applyMembership(int subject, fault::NodeState state,
-                         std::uint32_t epoch, int origin, int hops,
-                         bool relay);
+    void applyMembership(const MembershipMsg &msg, bool relay);
+
+    /** Hard teardown of a departed @p peer, at most once per leave
+     *  epoch (the rumor path and peerLeftTeardown() both lead here). */
+    void leftHardTeardown(int peer, std::uint32_t epoch);
 
     /** Push an accepted membership change to peers: unicast flood for
      *  the paper's strategies, fanout samples for Gossip, source-rooted
@@ -356,8 +363,8 @@ class PressServer
     CacheDirectory _cacheDir;
     LoadDirectory _loadDir;
     std::unique_ptr<ShardedCacheDirectory> _shardDir;
-    std::unique_ptr<DisseminationEngine> _dissem;
-    LoadPath _loadPath = LoadPath::Off;
+    std::unique_ptr<DisseminationEngine> _dissem; ///< Gossip/Tree only
+    Path _path = Path::Off;
     bool _roundScheduled = false;   ///< gossip round armed
     bool _waveScheduled = false;    ///< tree load wave armed
     sim::Tick _nextWaveAt = 0;      ///< earliest next own load wave
@@ -369,6 +376,8 @@ class PressServer
         int peer = -1;
         LoadDigestMsg load;
         CachingDigestMsg caching;
+        void add(const LoadMsg &m) { load.rumors.push_back(m); }
+        void add(const CachingMsg &m) { caching.rumors.push_back(m); }
     };
     std::vector<PeerDigest> _digestScratch;
     std::size_t _digestsUsed = 0;

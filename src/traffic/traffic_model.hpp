@@ -4,15 +4,15 @@
  *
  * Bundles the offered-load curve, the popularity model, the session
  * model, and the request-class mix into one value the cluster reads
- * when clientMode == OpenLoop. Default-constructed it reproduces the
- * classic single-knob Poisson stream at PressConfig::openLoopRate
- * exactly — existing open-loop configurations keep their byte-identical
- * dumps.
+ * when clientMode == OpenLoop. The curve is the open loop's only rate
+ * knob: an open-loop run with an empty curve is rejected.
+ * steadyScenario(R) is the classic constant-rate Poisson stream.
  *
  * Scenario presets for bench/capacity_slo live here too: they are the
  * one sanctioned home for arrival-rate literals (scripts/lint.sh bans
- * `openLoopRate = <literal>` outside src/traffic/ so rates flow through
- * named scenarios instead of being scattered across benches).
+ * a scenario or RateCurve::constant called with a numeric literal
+ * outside src/traffic/, so rates flow through named scenarios or
+ * computed values instead of being scattered across benches).
  */
 
 #ifndef PRESS_TRAFFIC_TRAFFIC_MODEL_HPP
@@ -26,15 +26,9 @@
 
 namespace press::traffic {
 
-/** Default offered rate for the single-knob open-loop mode, req/s.
- *  Roughly half of one VIA node's capacity so the default stays well
- *  below the knee on the paper's 8-node configurations. */
-inline constexpr double DefaultOpenLoopRate = 4000.0;
-
 /** Everything the open-loop client population needs to shape load. */
 struct TrafficModel {
-    /** Offered request rate over time; empty = constant
-     *  PressConfig::openLoopRate. */
+    /** Offered request rate over time; an open loop needs one. */
     RateCurve curve;
 
     /** File popularity over time; Trace mode = paper behavior. */
@@ -51,7 +45,7 @@ struct TrafficModel {
      *  counted. 0 = unbounded (every arrival is eventually answered). */
     std::uint32_t maxInFlight = 0;
 
-    /** True when any knob departs from the classic open-loop stream. */
+    /** True when any knob is set; every open loop sets the curve. */
     bool shaped() const
     {
         return !curve.empty() || population.active() || session.enabled ||

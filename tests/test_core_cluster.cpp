@@ -250,7 +250,7 @@ TEST(OpenLoop, LowLoadHasLowLatencyAndMatchesOfferedRate)
     PressConfig c = smallConfig(Protocol::ViaClan, Version::V5);
     c.cacheBytes = 32 * util::MB; // hold the working set: no disk queue
     c.clientMode = PressConfig::ClientMode::OpenLoop;
-    c.openLoopRate = 800; // far below capacity
+    c.traffic = traffic::steadyScenario(800); // far below capacity
     PressCluster cluster(c, trace);
     auto r = cluster.run();
     // Throughput tracks the offered rate, not the capacity.
@@ -267,7 +267,7 @@ TEST(OpenLoop, EveryArrivalAnswered)
     workload::Trace trace = smallTrace(5000);
     PressConfig c = smallConfig(Protocol::TcpClan);
     c.clientMode = PressConfig::ClientMode::OpenLoop;
-    c.openLoopRate = 1500;
+    c.traffic = traffic::steadyScenario(1500);
     c.warmupFraction = 0;
     PressCluster cluster(c, trace);
     cluster.run();
@@ -275,6 +275,17 @@ TEST(OpenLoop, EveryArrivalAnswered)
     for (int i = 0; i < c.nodes; ++i)
         replies += cluster.server(i).stats().replies;
     EXPECT_EQ(replies, 5000u);
+}
+
+TEST(OpenLoopDeathTest, EmptyRateCurveIsRejected)
+{
+    // The curve is the open loop's only rate knob: nothing falls back
+    // to a default rate.
+    workload::Trace trace = smallTrace(1000);
+    PressConfig c = smallConfig(Protocol::TcpClan);
+    c.clientMode = PressConfig::ClientMode::OpenLoop;
+    PressCluster cluster(c, trace);
+    EXPECT_DEATH(cluster.run(), "traffic.curve");
 }
 
 TEST(HttpWire, NoBadRequestsInNormalRuns)

@@ -19,8 +19,9 @@
 #include "workload/trace_gen.hpp"
 
 using namespace press;
+using core::CachingMsg;
 using core::DisseminationEngine;
-using core::Rumor;
+using core::LoadMsg;
 
 // ---------------------------------------------------------------------
 // Engine primitives
@@ -115,13 +116,7 @@ TEST(Dissemination, AcceptFiltersStaleAndDuplicate)
     DisseminationEngine e(p);
 
     auto loadRumor = [](int origin, std::uint32_t seq, int load) {
-        Rumor r;
-        r.isLoad = true;
-        r.origin = origin;
-        r.seq = seq;
-        r.load = load;
-        r.hops = 3;
-        return r;
+        return LoadMsg{load, origin, seq, /*hops=*/3};
     };
     // Load: latest-value semantics — only strictly newer seqs apply.
     EXPECT_TRUE(e.accept(loadRumor(3, 5, 10)));
@@ -131,14 +126,7 @@ TEST(Dissemination, AcceptFiltersStaleAndDuplicate)
     EXPECT_FALSE(e.accept(loadRumor(0, 99, 1))) << "own origin";
 
     auto cachingRumor = [](int origin, std::uint32_t seq) {
-        Rumor r;
-        r.isLoad = false;
-        r.origin = origin;
-        r.seq = seq;
-        r.file = 17;
-        r.cached = true;
-        r.hops = 3;
-        return r;
+        return CachingMsg{/*file=*/17, true, origin, seq, /*hops=*/3};
     };
     // Caching: event semantics — reordered events all apply once.
     EXPECT_TRUE(e.accept(cachingRumor(2, 3)));
@@ -180,13 +168,14 @@ roundsToConverge(int nodes, int fanout, std::uint64_t seed)
 
     int ttl = DisseminationEngine::gossipTtl(nodes, fanout);
     for (int round = 1; round <= ttl; ++round) {
-        std::vector<std::pair<int, Rumor>> mail;
+        std::vector<std::pair<int, core::WireBody>> mail;
         for (int i = 0; i < nodes; ++i)
             engines[i]->runRound(i == 0 ? 1 : 0,
-                                 [&](int dst, const Rumor &r) {
+                                 [&](int dst, const auto &r) {
                                      mail.emplace_back(dst, r);
                                  });
-        for (const auto &[dst, r] : mail) {
+        for (const auto &[dst, body] : mail) {
+            const auto &r = std::get<LoadMsg>(body); // only loads move
             if (!engines[dst]->accept(r))
                 continue;
             engines[dst]->enqueueRelay(r);

@@ -55,7 +55,8 @@ class FakeComm : public ClusterComm
     }
 };
 
-/** A single server instance on a 4-node cluster's node 0. */
+/** A single server instance on node 0 of a @p nodes cluster (4 by
+ *  default). */
 struct ServerRig {
     PressConfig config;
     sim::Simulator sim;
@@ -66,9 +67,9 @@ struct ServerRig {
     std::vector<std::uint64_t> replies;
 
     explicit ServerRig(Dissemination diss = Dissemination::piggyBack(),
-                       std::vector<std::uint32_t> sizes = {})
+                       std::vector<std::uint32_t> sizes = {}, int nodes = 4)
     {
-        config.nodes = 4;
+        config.nodes = nodes;
         config.dissemination = diss;
         config.cacheBytes = 1000000; // 1 MB cache for small scenarios
         if (sizes.empty())
@@ -281,4 +282,119 @@ TEST(ServerPolicy, LatencyAccountedPerReply)
     rig.sim.run();
     EXPECT_EQ(rig.server->stats().latency.count(), 1u);
     EXPECT_GT(rig.server->stats().latency.mean(), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Gossip/tree rumors. The rigs run 16 nodes: with fanout 2, node 0
+// sits at heap position 3 of the tree rooted at node 13, so its parent
+// is node 14 and its children are nodes 4 and 5.
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr int RumorNodes = 16;
+constexpr int RumorOrigin = 13;
+constexpr int RumorParent = 14;
+
+} // namespace
+
+TEST(ServerPolicy, TreeRumorRelayedToSubtreeWithOneMoreHop)
+{
+    ServerRig rig(Dissemination::tree(2), {}, RumorNodes);
+    std::vector<int> children;
+    DisseminationEngine::treeChildren(0, RumorOrigin, 2, RumorNodes,
+                                      children);
+    ASSERT_EQ(children, (std::vector<int>{4, 5}));
+
+    rig.comm.inject(RumorParent, LoadMsg{7, RumorOrigin, 1, 2});
+    rig.comm.inject(RumorParent, CachingMsg{2, true, RumorOrigin, 1, 2});
+    ASSERT_EQ(rig.comm.sent.size(), 4u);
+    for (std::size_t i = 0; i < children.size(); ++i) {
+        EXPECT_EQ(rig.comm.sent[i].dst, children[i]);
+        EXPECT_EQ(std::get<LoadMsg>(rig.comm.sent[i].msg.body),
+                  (LoadMsg{7, RumorOrigin, 1, 3}));
+        EXPECT_EQ(rig.comm.sent[2 + i].dst, children[i]);
+        EXPECT_EQ(std::get<CachingMsg>(rig.comm.sent[2 + i].msg.body),
+                  (CachingMsg{2, true, RumorOrigin, 1, 3}));
+    }
+
+    // Both rumors were applied: the origin's load is known, and a
+    // request for the file it caches is forwarded to it.
+    EXPECT_EQ(rig.server->loadDirectory().load(RumorOrigin), 7);
+    rig.comm.sent.clear();
+    rig.request(2);
+    rig.sim.run();
+    ASSERT_EQ(rig.comm.count(MsgKind::Forward), 1);
+    for (const auto &s : rig.comm.sent) {
+        if (s.kind == MsgKind::Forward) {
+            EXPECT_EQ(s.dst, RumorOrigin);
+        }
+    }
+}
+
+TEST(ServerPolicy, TreeDuplicateRumorIsNeitherAppliedNorRelayed)
+{
+    ServerRig rig(Dissemination::tree(2), {}, RumorNodes);
+    rig.comm.inject(RumorParent, LoadMsg{7, RumorOrigin, 1, 2});
+    rig.comm.inject(RumorParent, CachingMsg{2, true, RumorOrigin, 1, 2});
+    ASSERT_EQ(rig.comm.sent.size(), 4u);
+
+    // Same (origin, seq) again, and an older load report: all dropped.
+    rig.comm.inject(RumorParent, LoadMsg{9, RumorOrigin, 1, 2});
+    rig.comm.inject(RumorParent, LoadMsg{5, RumorOrigin, 0, 2});
+    rig.comm.inject(RumorParent, CachingMsg{2, true, RumorOrigin, 1, 2});
+    EXPECT_EQ(rig.comm.sent.size(), 4u);
+    EXPECT_EQ(rig.server->loadDirectory().load(RumorOrigin), 7);
+}
+
+TEST(ServerPolicy, GossipDuplicateOnlyWidensTheQueuedHopBudget)
+{
+    ServerRig rig(Dissemination::gossip(4), {}, RumorNodes);
+    rig.comm.inject(RumorParent, LoadMsg{7, RumorOrigin, 1, 2});
+    // A copy that took a shorter path: same rumor, larger budget.
+    rig.comm.inject(9, LoadMsg{9, RumorOrigin, 1, 5});
+    EXPECT_EQ(rig.server->loadDirectory().load(RumorOrigin), 7);
+    EXPECT_TRUE(rig.comm.sent.empty()) << "gossip relays only in rounds";
+
+    rig.sim.run();
+    std::vector<LoadMsg> relayed;
+    for (const auto &s : rig.comm.sent)
+        if (const auto *digest = std::get_if<LoadDigestMsg>(&s.msg.body))
+            for (const LoadMsg &m : digest->rumors)
+                if (m.origin == RumorOrigin)
+                    relayed.push_back(m);
+    // One queued copy: each round pushes it once to each sampled peer,
+    // for gossipRepeats rounds, with the wider budget less one hop.
+    const auto &d = rig.config.dissemination;
+    EXPECT_EQ(relayed.size(),
+              static_cast<std::size_t>(d.gossipRepeats * d.fanout));
+    for (const LoadMsg &m : relayed)
+        EXPECT_EQ(m, (LoadMsg{7, RumorOrigin, 1, 4}));
+}
+
+TEST(ServerPolicy, FaultModeRumorAboutDeadNodeIsRelayedNotApplied)
+{
+    ServerRig rig(Dissemination::tree(2), {}, RumorNodes);
+    rig.server->enableFaultMode();
+    rig.server->peerGone(RumorOrigin, 1, fault::NodeState::Dead);
+    int dead_load = rig.server->loadDirectory().load(RumorOrigin);
+    rig.comm.sent.clear();
+
+    rig.comm.inject(RumorParent, LoadMsg{7, RumorOrigin, 1, 2});
+    rig.comm.inject(RumorParent, CachingMsg{2, true, RumorOrigin, 1, 2});
+    // Relayed down the subtree so the wave still completes...
+    ASSERT_EQ(rig.comm.sent.size(), 4u);
+    EXPECT_EQ(rig.comm.sent[0].dst, 4);
+    EXPECT_EQ(rig.comm.sent[1].dst, 5);
+    // ...but the load sentinel stands,
+    EXPECT_EQ(rig.server->loadDirectory().load(RumorOrigin), dead_load);
+
+    // ...and the caching news was not recorded: once the node is back,
+    // the file is still a first touch here rather than a forward.
+    rig.server->peerRestarted(RumorOrigin, 2);
+    rig.comm.sent.clear();
+    rig.request(2);
+    rig.sim.run();
+    EXPECT_EQ(rig.comm.count(MsgKind::Forward), 0);
+    EXPECT_EQ(rig.server->stats().localDiskReads, 1u);
 }

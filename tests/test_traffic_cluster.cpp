@@ -302,3 +302,34 @@ TEST(TrafficCluster, InFlightCapShedsLoadWithoutLosingAccounting)
     EXPECT_EQ(r.inFlightEnd, 0u);
     EXPECT_TRUE(cluster.simulator().idle());
 }
+
+TEST(TrafficCluster, OpenLoopRequestsLostToACrashAreCounted)
+{
+    // Open-loop arrivals are not re-issued after a crash: the ones in
+    // flight to the dead node never get a reply. They must show up as
+    // requestsLost, so every offered request is accounted as a reply,
+    // a drop or a loss.
+    auto spec = workload::clarknetSpec();
+    spec.numRequests = 20000;
+    auto trace = workload::generateTrace(spec);
+    for (bool keep_alive : {false, true}) {
+        PressConfig config;
+        config.nodes = 4;
+        config.protocol = Protocol::ViaClan;
+        config.version = Version::V5;
+        config.cacheBytes = 64 * util::MB;
+        config.warmupFraction = 0;
+        config.clientMode = PressConfig::ClientMode::OpenLoop;
+        config.traffic = keep_alive ? traffic::keepAliveScenario(1500)
+                                    : traffic::steadyScenario(1500);
+        config.fault = fault::FaultPlan::parse("crash:1@2s;restart:1@4s");
+        PressCluster cluster(config, trace);
+        auto r = cluster.run(8000);
+
+        SCOPED_TRACE(keep_alive ? "keep-alive" : "steady");
+        EXPECT_GT(r.requestsLost, 0u);
+        EXPECT_EQ(r.requestsLost, r.inFlightEnd);
+        EXPECT_EQ(r.requestsMeasured + r.droppedRequests + r.requestsLost,
+                  r.offeredRequests);
+    }
+}

@@ -93,8 +93,11 @@ struct RaceOptions {
     }
 };
 
-/** The golden-test scenarios: the three full-cluster configurations
- *  whose FIFO results the tier-1 suite pins exactly. */
+/** The hunted scenarios: the three full-cluster configurations whose
+ *  FIFO results test_core_golden pins exactly, then the scale-out
+ *  paths — gossip over sharded and replicated directories, the
+ *  sharded owner lookup under piggyback, and tree waves over the
+ *  replicated and the sharded directory. */
 std::vector<core::PressConfig>
 scenarioConfigs()
 {
@@ -149,6 +152,25 @@ scenarioConfigs()
         c.protocol = core::Protocol::ViaClan;
         c.version = core::Version::V0;
         c.nodes = 8;
+        c.directoryMode = core::DirectoryMode::Sharded;
+        configs.push_back(c);
+    }
+    {
+        // Tree waves: every rumor relayed down a source-rooted k-ary
+        // subtree, with the replicated directory.
+        core::PressConfig c;
+        c.protocol = core::Protocol::ViaClan;
+        c.version = core::Version::V0;
+        c.nodes = 8;
+        c.dissemination = core::Dissemination::tree();
+        configs.push_back(c);
+    }
+    {
+        // Tree load waves over a sharded directory, on the TCP stack.
+        core::PressConfig c;
+        c.protocol = core::Protocol::TcpClan;
+        c.nodes = 8;
+        c.dissemination = core::Dissemination::tree();
         c.directoryMode = core::DirectoryMode::Sharded;
         configs.push_back(c);
     }
