@@ -23,8 +23,9 @@
 #       K=4 tick-race hunt focused on the gossip scenario
 #   (g) fault: the fault-tolerance subsystem — a churn bench smoke
 #       (kill 2 of 16 mid-trace; zero lost requests is the exit
-#       code) and a crash-scenario byte-identity diff across --jobs
-#       values (see docs/simulation.md, "Fault tolerance")
+#       code) and byte-identity diffs across --jobs values, on the
+#       crash plan and on a crash + leave/join plan (see
+#       docs/simulation.md, "Fault tolerance")
 #   (h) traffic: the open-loop traffic engine — an SLO capacity-sweep
 #       smoke (the bench exits nonzero when a rung below a scenario's
 #       knee misses its offered rate or the flash crowd never crosses
@@ -180,6 +181,14 @@ stage_fault() {
     diff build/fault-j1.txt build/fault-j4.txt
     diff build/fault-j1.json build/fault-j4.json
     echo "fault churn byte-identical across --jobs 1/4"
+    # The same on a plan with a graceful leave and a join, so the diff
+    # covers every membership verdict, not only crash and restart.
+    local plan='crash:1@200ms;restart:1@600ms;leave:3@300ms;join:3@900ms'
+    ( cd build && ./bench/fault_churn --quick --plan "$plan" --jobs 1 > fault-lj-j1.txt && mv BENCH_fault.json fault-lj-j1.json )
+    ( cd build && ./bench/fault_churn --quick --plan "$plan" --jobs 4 > fault-lj-j4.txt && mv BENCH_fault.json fault-lj-j4.json )
+    diff build/fault-lj-j1.txt build/fault-lj-j4.txt
+    diff build/fault-lj-j1.json build/fault-lj-j4.json
+    echo "leave/join fault churn byte-identical across --jobs 1/4"
 }
 
 stage_traffic() {

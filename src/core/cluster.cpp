@@ -1,6 +1,7 @@
 #include "cluster.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
 
 #include "check/causality_checker.hpp"
@@ -146,27 +147,13 @@ PressCluster::dumpStats(std::ostream &os) const
     }
 }
 
-/** One client connection slot. Closed-loop slots re-issue on reply;
- *  the open-loop mode shares one passive slot among all arrivals. */
-struct PressCluster::ClientSlot {
-    int index = 0;
-    bool closedLoop = true;
-
-    // Fault-mode bookkeeping (untouched in healthy runs): the request
-    // in flight, the node it went to, and a generation counter so a
-    // reply from a superseded attempt cannot double-advance the slot.
-    storage::FileId file = storage::InvalidFile;
-    int pendingNode = -1;
-    bool inFlight = false;
-    std::uint32_t generation = 0;
-};
-
 PressCluster::PressCluster(const PressConfig &config,
                            const workload::Trace &trace)
     : _config(config),
       _trace(trace),
       _clientRng(config.seed),
-      _site(trace.files, config.seed + 0x5173)
+      _site(trace.files, config.seed + 0x5173),
+      _faultEnabled(!config.fault.empty())
 {
     _requestWire.resize(trace.files.count());
     _requestWireBytes.resize(trace.files.count(), 0);
@@ -260,12 +247,16 @@ PressCluster::PressCluster(const PressConfig &config,
             _comms.push_back(std::move(t));
     }
 
-    // Servers.
+    // Servers, each handing its replies to sendReply().
     for (int i = 0; i < _config.nodes; ++i) {
         _sim.setCurrentDomain(i);
         _servers.push_back(std::make_unique<PressServer>(
             _sim, _config, i, *_nodes[i], _trace.files, *_comms[i],
-            _config.seed * 1315423911u + i));
+            _config.seed * 1315423911u + i,
+            [this, i](storage::FileId file, std::uint64_t,
+                      const RequestOptions &req) {
+                sendReply(i, file, req);
+            }));
     }
     _sim.setCurrentDomain(sim::NoDomain);
 
@@ -323,13 +314,8 @@ PressCluster::PressCluster(const PressConfig &config,
         _causality->attach();
     }
 
-    // Client slots.
-    int total_clients = _config.clientsPerNode * _config.nodes;
-    for (int c = 0; c < total_clients; ++c) {
-        auto slot = std::make_unique<ClientSlot>();
-        slot->index = c;
-        _clients.push_back(std::move(slot));
-    }
+    _clients.resize(
+        static_cast<std::size_t>(_config.clientsPerNode * _config.nodes));
 }
 
 PressCluster::~PressCluster() = default;
@@ -339,40 +325,35 @@ namespace {
 // A keep-alive session's obs span tag: session spans live above the
 // request-tag id space, so the session id rides in the low bits.
 constexpr std::uint32_t SessionTagBit = 0x800000u;
-constexpr std::uint8_t SessionBegin = 1; // RequestOptions::sessionPhase
-constexpr std::uint8_t SessionEnd = 2;
 
 } // namespace
 
 void
-PressCluster::replyFinished(ClientSlot *slot, std::uint32_t gen,
-                            std::uint32_t session_tag)
+PressCluster::replyFinished(const RequestOptions &req)
 {
-    if (_faultEnabled && slot->closedLoop) {
-        if (gen != slot->generation)
-            return; // a client retry superseded this attempt
-        slot->inFlight = false;
-        slot->pendingNode = -1;
-        if (_measuring) {
-            auto idx = static_cast<std::size_t>(
-                (_sim.now() - _measureStart) /
-                ClusterResults::ReplyBucket);
-            if (_replyBuckets.size() <= idx)
-                _replyBuckets.resize(idx + 1, 0);
-            ++_replyBuckets[idx];
-        }
-    }
-    _lastReply = _sim.now();
-    if (slot->closedLoop) {
-        issueNext(*slot);
+    if (req.slot < 0) {
+        // Open-loop bookkeeping: runs on the client domain (the reply
+        // just landed on a client port), same as the arrival side.
+        _lastReply = _sim.now();
+        if (_inFlight > 0)
+            --_inFlight;
+        if (req.sessionTag != 0)
+            openSessionAdvance(req.sessionTag & ~SessionTagBit);
         return;
     }
-    // Open-loop bookkeeping: runs on the client domain (the reply just
-    // landed on a client port), same as the arrival side.
-    if (_inFlight > 0)
-        --_inFlight;
-    if (session_tag != 0)
-        openSessionAdvance(session_tag & ~SessionTagBit);
+    ClientSlot &slot = _clients[static_cast<std::size_t>(req.slot)];
+    if (req.generation != slot.generation)
+        return; // a client retry superseded this attempt
+    slot.pendingNode = -1;
+    if (_faultEnabled && _measuring) {
+        auto idx = static_cast<std::size_t>(
+            (_sim.now() - _measureStart) / ClusterResults::ReplyBucket);
+        if (_replyBuckets.size() <= idx)
+            _replyBuckets.resize(idx + 1, 0);
+        ++_replyBuckets[idx];
+    }
+    _lastReply = _sim.now();
+    issueNext(req.slot);
 }
 
 void
@@ -380,11 +361,6 @@ PressCluster::scheduleArrival()
 {
     if (_feed->exhausted())
         return;
-    if (!_openSlot) {
-        _openSlot = std::make_unique<ClientSlot>();
-        _openSlot->index = -1;
-        _openSlot->closedLoop = false;
-    }
     // Arrival k is a pure function of (seed, curve, k): counter-based
     // splitmix64 -> exponential mass -> integrated-rate inversion. The
     // schedule cannot shift whatever else consumes RNG state, which
@@ -434,15 +410,15 @@ PressCluster::openArrival()
         std::uint32_t len = _sessionModel->length(sid);
         int node = pickClientNode();
         _sessions.emplace(sid, OpenSession{node, len, 0});
-        opts.sessionPhase = len == 1 ? SessionBegin | SessionEnd
-                                     : SessionBegin;
+        opts.sessionPhase =
+            len == 1 ? RequestOptions::SessionBegin |
+                           RequestOptions::SessionEnd
+                     : RequestOptions::SessionBegin;
         opts.sessionTag = SessionTagBit | sid;
-        issueRequest(*_openSlot, file, node, opts);
+        issueRequest(file, node, opts);
         return;
     }
-    // Under the LARD front-end, shaping beyond the rate curve is
-    // rejected at run() start, so opts is the classic request.
-    issueRequest(*_openSlot, file, pickClientNode(), opts);
+    issueRequest(file, pickClientNode(), opts);
 }
 
 void
@@ -480,8 +456,8 @@ PressCluster::openSessionIssue(std::uint32_t sid)
     opts.keepAlive = true;
     opts.sessionTag = SessionTagBit | sid;
     if (s.done + 1 >= s.length)
-        opts.sessionPhase = SessionEnd;
-    issueRequest(*_openSlot, file, s.node, opts);
+        opts.sessionPhase = RequestOptions::SessionEnd;
+    issueRequest(file, s.node, opts);
 }
 
 int
@@ -521,7 +497,7 @@ PressCluster::buildPopularityRanking()
 }
 
 void
-PressCluster::issueNext(ClientSlot &slot)
+PressCluster::issueNext(int slot)
 {
     // Open-loop runs warm up in closed loop (saturating the caches
     // quickly); at the warm-up boundary the closed-loop slots retire
@@ -529,7 +505,6 @@ PressCluster::issueNext(ClientSlot &slot)
     // Poisson process takes over. offeredRequests then accounts for
     // every measured-window request exactly.
     if (_config.clientMode == PressConfig::ClientMode::OpenLoop &&
-        slot.closedLoop &&
         (_measuring || _feed->issued() >= _warmupBoundary)) {
         if (!_measuring)
             resetForMeasurement();
@@ -543,7 +518,9 @@ PressCluster::issueNext(ClientSlot &slot)
     if (!_measuring && _feed->issued() > _warmupBoundary)
         resetForMeasurement();
 
-    issueRequest(slot, file, pickClientNode());
+    RequestOptions req;
+    req.slot = slot;
+    issueRequest(file, pickClientNode(), req);
 }
 
 net::Payload
@@ -564,8 +541,8 @@ PressCluster::requestWire(storage::FileId file)
 }
 
 void
-PressCluster::issueRequest(ClientSlot &slot, storage::FileId file,
-                           int node, const RequestOptions &opts)
+PressCluster::issueRequest(storage::FileId file, int node,
+                           RequestOptions req)
 {
     int client_port = _config.nodes + node;
     net::Payload wire = requestWire(file);
@@ -574,37 +551,43 @@ PressCluster::issueRequest(ClientSlot &slot, storage::FileId file,
     // of the request; keep-alive requests skip it. Only the session
     // path models connections explicitly, so other runs keep their
     // exact wire byte counts.
-    if (opts.sessionTag != 0 && !opts.keepAlive)
+    if (req.sessionTag != 0 && !req.keepAlive)
         req_bytes += _config.calibration.sizes.tcpHandshake;
 
-    ClientSlot *slot_ptr = &slot;
-    std::uint32_t gen = 0;
-    if (!slot.closedLoop) {
+    if (req.slot < 0) {
         ++_inFlight;
         _inFlightPeak = std::max(_inFlightPeak, _inFlight);
-    } else if (_faultEnabled) {
+    } else {
+        ClientSlot &slot = _clients[static_cast<std::size_t>(req.slot)];
         slot.file = file;
         slot.pendingNode = node;
-        slot.inFlight = true;
-        gen = slot.generation;
+        req.generation = slot.generation;
     }
     if (_config.distribution == Distribution::FrontEndLard) {
         // All requests enter through the front-end's port.
         int fe_port = 2 * _config.nodes;
         _external->send(client_port, fe_port, req_bytes,
-                        [this, file, slot_ptr,
-                         wire = std::move(wire)]() {
-                            frontEndRoute(file, wire, slot_ptr);
+                        [this, file, req, wire = std::move(wire)]() {
+                            frontEndRoute(file, wire, req);
                         });
         return;
     }
     _external->send(client_port, node, req_bytes,
-                    [this, node, file, slot_ptr, gen, opts,
-                     wire = std::move(wire)]() {
-                        requestArrived(node, file, wire, slot_ptr, gen,
-                                       opts);
+                    [this, node, file, req, wire = std::move(wire)]() {
+                        requestArrived(node, file, wire, req);
                     });
 }
+
+namespace {
+
+// LARD/R thresholds (Pai et al.): a back-end above LardHigh active
+// connections triggers replication when another sits below LardLow.
+constexpr int LardLow = 25;
+constexpr int LardHigh = 65;
+// [EST] CPU cost of one front-end routing decision + TCP hand-off.
+constexpr sim::Tick LardRouteCost = 40 * util::US;
+
+} // namespace
 
 int
 PressCluster::lardPick(storage::FileId file)
@@ -626,16 +609,16 @@ PressCluster::lardPick(storage::FileId file)
     for (int b : set)
         if (_feLoad[b] < _feLoad[best])
             best = b;
-    if (_feLoad[best] > _config.lardHigh &&
-        _feLoad[cluster_least] < _config.lardLow) {
+    if (_feLoad[best] > LardHigh && _feLoad[cluster_least] < LardLow) {
         set.push_back(cluster_least);
         best = cluster_least;
     }
     return best;
 }
 
-std::optional<bool>
-PressCluster::acceptRequest(storage::FileId file, const net::Payload &wire)
+bool
+PressCluster::acceptRequest(storage::FileId file, const net::Payload &wire,
+                            RequestOptions &req)
 {
     const auto *text = net::payloadAs<std::string>(wire);
     PRESS_ASSERT(text, "client sent a non-HTTP payload");
@@ -643,86 +626,68 @@ PressCluster::acceptRequest(storage::FileId file, const net::Payload &wire)
     if (parsed) {
         auto split = http::splitTarget(parsed.request->target);
         auto resolved = split ? _site.resolve(split->path) : std::nullopt;
-        if (resolved && *resolved == file)
-            return parsed.request->keepAlive();
+        if (resolved && *resolved == file) {
+            req.replyKeepAlive = parsed.request->keepAlive();
+            return true;
+        }
     }
     ++_badRequests;
-    return std::nullopt;
+    return false;
 }
 
 void
 PressCluster::frontEndRoute(storage::FileId file,
-                            const net::Payload &wire, ClientSlot *slot)
+                            const net::Payload &wire, RequestOptions req)
 {
     // The front-end is content-aware: it parses the request before
     // picking a back-end (that is the whole point of LARD).
-    std::optional<bool> accepted = acceptRequest(file, wire);
-    if (!accepted)
+    if (!acceptRequest(file, wire, req))
         return;
-    bool keep_alive = *accepted;
     std::uint64_t req_bytes = _requestWireBytes[file];
 
-    _feCpu->submit(_config.lardRouteCost, 0, [this, file, keep_alive,
-                                              req_bytes, slot]() {
+    _feCpu->submit(LardRouteCost, 0, [this, file, req, req_bytes]() {
         int backend = lardPick(file);
         ++_feLoad[backend];
         int fe_port = 2 * _config.nodes;
         // TCP hand-off: the connection migrates to the back-end, which
-        // replies to the client directly.
-        _external->send(
-            fe_port, backend, req_bytes,
-            [this, file, keep_alive, backend, slot]() {
-                _servers[backend]->handleClientRequest(
-                    file, [this, file, keep_alive, backend,
-                           slot](std::uint64_t) {
-                        --_feLoad[backend];
-                        int client_port =
-                            _config.nodes +
-                            (slot->index > 0 ? slot->index : 0) %
-                                _config.nodes;
-                        sendReply(backend, client_port, file, keep_alive,
-                                  slot, 0, 0);
-                    });
-            });
+        // replies to the client directly (see sendReply).
+        _external->send(fe_port, backend, req_bytes,
+                        [this, file, req, backend]() {
+                            _servers[backend]->handleClientRequest(file,
+                                                                   req);
+                        });
     });
 }
 
 void
 PressCluster::requestArrived(int node, storage::FileId file,
-                             const net::Payload &wire, ClientSlot *slot,
-                             std::uint32_t gen, const RequestOptions &opts)
+                             const net::Payload &wire, RequestOptions req)
 {
     // Ingress: parse the request text and resolve the path, exactly as
     // the real server's accept path would (the simulated cost of this
     // work is the parse step mu_p charged inside handleClientRequest).
-    std::optional<bool> accepted = acceptRequest(file, wire);
-    if (!accepted)
-        return;
-    bool keep_alive = *accepted;
-    _servers[node]->handleClientRequest(
-        file,
-        [this, node, file, keep_alive, slot, gen,
-         session_tag = opts.sessionTag](std::uint64_t) {
-            sendReply(node, _config.nodes + node, file, keep_alive, slot,
-                      gen, session_tag);
-        },
-        opts);
+    if (acceptRequest(file, wire, req))
+        _servers[node]->handleClientRequest(file, req);
 }
 
 void
-PressCluster::sendReply(int node, int client_port, storage::FileId file,
-                        bool keep_alive, ClientSlot *slot,
-                        std::uint32_t gen, std::uint32_t session_tag)
+PressCluster::sendReply(int node, storage::FileId file,
+                        const RequestOptions &req)
 {
+    int client_port = _config.nodes + node;
+    if (_feCpu) {
+        // LARD: the back-end the front-end handed the connection to
+        // answers the client slot's own port.
+        --_feLoad[node];
+        client_port = _config.nodes + req.slot % _config.nodes;
+    }
     // Egress: build the HTTP response; its wire size replaces the
     // server's header estimate.
-    http::Response resp =
-        http::makeFileResponse(200, _trace.files.size(file),
-                               http::mimeType(_site.path(file)), keep_alive);
+    http::Response resp = http::makeFileResponse(
+        200, _trace.files.size(file), http::mimeType(_site.path(file)),
+        req.replyKeepAlive);
     _external->send(node, client_port, resp.wireBytes(),
-                    [this, slot, gen, session_tag]() {
-                        replyFinished(slot, gen, session_tag);
-                    });
+                    [this, req]() { replyFinished(req); });
 }
 
 void
@@ -756,36 +721,33 @@ PressCluster::clientScanDead(int node)
     // the fixed _clients order, so the scan is deterministic, and the
     // generation bump makes any late reply from the old attempt a
     // no-op.
-    for (auto &slot : _clients) {
-        if (!slot->inFlight || slot->pendingNode != node)
+    for (std::size_t i = 0; i < _clients.size(); ++i) {
+        ClientSlot &slot = _clients[i];
+        if (slot.pendingNode != node)
             continue;
-        ++slot->generation;
-        slot->inFlight = false;
-        slot->pendingNode = -1;
+        ++slot.generation;
+        slot.pendingNode = -1;
         ++_clientRetries;
-        issueRequest(*slot, slot->file, pickClientNode());
+        RequestOptions req;
+        req.slot = static_cast<std::int32_t>(i);
+        issueRequest(slot.file, pickClientNode(), req);
     }
 }
 
 void
 PressCluster::setupFaults()
 {
-    const auto &plan = _config.fault;
-    if (plan.empty()) {
-        _faultEnabled = false;
+    if (!_faultEnabled)
         return; // healthy run: no fault machinery activates at all
-    }
+    const auto &plan = _config.fault;
     PRESS_ASSERT(_config.distribution != Distribution::FrontEndLard,
                  "fault plans are not supported with the LARD "
                  "front-end (its hand-off state has no recovery path)");
     plan.validate(_config.nodes);
 
-    _faultEnabled = true;
     _clientAlive.assign(static_cast<std::size_t>(_config.nodes), 1);
     _clientRetries = 0;
     _replyBuckets.clear();
-    for (auto &server : _servers)
-        server->enableFaultMode();
 
     // Every fault-driven action is pre-scheduled here, before run(),
     // on the domain that owns it: the event on the target node, the
@@ -804,28 +766,29 @@ PressCluster::setupFaults()
     auto skew = [](int s) {
         return static_cast<sim::Tick>(s + 1) * 131;
     };
+    using fault::NodeState;
     for (const auto &ev : plan.timeline()) {
         const int x = ev.node;
         const std::uint32_t e = ev.epoch;
+        // Server @p s hears, at @p at, that node x is in @p state.
+        auto verdict = [&](int s, sim::Tick at, NodeState state) {
+            _sim.setCurrentDomain(s);
+            _sim.schedule(at, [this, s, x, state, e]() {
+                _servers[s]->verdict(x, state, e);
+            });
+        };
         switch (ev.kind) {
           case fault::FaultKind::Crash: {
-            _sim.setCurrentDomain(x);
-            _sim.schedule(ev.at,
-                          [this, x, e]() { _servers[x]->faultCrash(e); });
+            verdict(x, ev.at, NodeState::Dead);
             for (int s = 0; s < _config.nodes; ++s) {
                 if (s == x)
                     continue;
-                _sim.setCurrentDomain(s);
-                _sim.schedule(ev.at + plan.suspectDelay + skew(s),
-                              [this, s, x, e]() {
-                                  _servers[s]->peerSuspected(x, e);
-                              });
-                _sim.schedule(ev.at + plan.suspectDelay +
-                                  plan.confirmDelay + skew(s),
-                              [this, s, x, e]() {
-                                  _servers[s]->peerGone(
-                                      x, e, fault::NodeState::Dead);
-                              });
+                verdict(s, ev.at + plan.suspectDelay + skew(s),
+                        NodeState::Suspected);
+                verdict(s,
+                        ev.at + plan.suspectDelay + plan.confirmDelay +
+                            skew(s),
+                        NodeState::Dead);
             }
             _sim.setCurrentDomain(clientDomain());
             _sim.schedule(ev.at + plan.suspectDelay, [this, x]() {
@@ -836,19 +799,11 @@ PressCluster::setupFaults()
           }
           case fault::FaultKind::Restart:
           case fault::FaultKind::Join: {
-            _sim.setCurrentDomain(x);
-            _sim.schedule(ev.at, [this, x, e]() {
-                _servers[x]->faultRestart(e);
-            });
-            for (int s = 0; s < _config.nodes; ++s) {
-                if (s == x)
-                    continue;
-                _sim.setCurrentDomain(s);
-                _sim.schedule(ev.at + plan.suspectDelay + skew(s),
-                              [this, s, x, e]() {
-                                  _servers[s]->peerRestarted(x, e);
-                              });
-            }
+            verdict(x, ev.at, NodeState::Alive);
+            for (int s = 0; s < _config.nodes; ++s)
+                if (s != x)
+                    verdict(s, ev.at + plan.suspectDelay + skew(s),
+                            NodeState::Alive);
             _sim.setCurrentDomain(clientDomain());
             _sim.schedule(ev.at + plan.suspectDelay, [this, x]() {
                 _clientAlive[static_cast<std::size_t>(x)] = 1;
@@ -856,23 +811,16 @@ PressCluster::setupFaults()
             break;
           }
           case fault::FaultKind::Leave: {
-            _sim.setCurrentDomain(x);
-            _sim.schedule(ev.at, [this, x, e]() {
-                _servers[x]->faultLeave(e);
-            });
+            verdict(x, ev.at, NodeState::Left);
             _sim.schedule(ev.at + plan.drainDelay, [this, x]() {
                 _servers[x]->faultLeaveDown();
             });
-            for (int s = 0; s < _config.nodes; ++s) {
-                if (s == x)
-                    continue;
-                _sim.setCurrentDomain(s);
-                _sim.schedule(ev.at + plan.drainDelay +
-                                  plan.suspectDelay + skew(s),
-                              [this, s, x, e]() {
-                                  _servers[s]->peerLeftTeardown(x, e);
-                              });
-            }
+            for (int s = 0; s < _config.nodes; ++s)
+                if (s != x)
+                    verdict(s,
+                            ev.at + plan.drainDelay + plan.suspectDelay +
+                                skew(s),
+                            NodeState::Left);
             _sim.setCurrentDomain(clientDomain());
             _sim.schedule(ev.at, [this, x]() {
                 _clientAlive[static_cast<std::size_t>(x)] = 0;
@@ -945,14 +893,11 @@ PressCluster::run(std::uint64_t max_requests)
     _measureStart = 0;
     _lastReply = 0;
 
+    PRESS_ASSERT(_config.distribution != Distribution::FrontEndLard ||
+                     _config.clientMode == PressConfig::ClientMode::ClosedLoop,
+                 "the LARD front-end runs closed-loop only");
     if (_config.clientMode == PressConfig::ClientMode::OpenLoop) {
         const auto &tm = _config.traffic;
-        PRESS_ASSERT(!(_config.distribution == Distribution::FrontEndLard &&
-                       (tm.session.enabled || tm.dynamicFraction > 0 ||
-                        tm.population.active())),
-                     "the LARD front-end supports only rate-curve "
-                     "shaping (sessions/classes/popularity bypass its "
-                     "hand-off path)");
         PRESS_ASSERT(!tm.curve.empty(),
                      "an open loop takes its offered rate from "
                      "traffic.curve, which is empty");
@@ -988,10 +933,8 @@ PressCluster::run(std::uint64_t max_requests)
     // The initial request wave (and everything issueNext touches — the
     // client RNG, the request feed) belongs to the client domain.
     _sim.setCurrentDomain(clientDomain());
-    for (auto &slot : _clients) {
-        slot->closedLoop = true;
-        issueNext(*slot);
-    }
+    for (std::size_t i = 0; i < _clients.size(); ++i)
+        issueNext(static_cast<int>(i));
     _sim.run();
 
     if (!_measuring) {
@@ -1083,8 +1026,8 @@ PressCluster::run(std::uint64_t max_requests)
             r.droppedSends += comm->droppedSends();
             r.rxErrors += comm->rxErrors();
         }
-        for (auto &slot : _clients)
-            if (slot->inFlight)
+        for (const ClientSlot &slot : _clients)
+            if (slot.pendingNode >= 0)
                 ++r.requestsLost;
         // Open-loop arrivals are never re-issued (clientScanDead walks
         // the closed-loop slots only): one still unanswered at drain

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -190,28 +189,37 @@ class PressCluster
     std::uint64_t badRequests() const { return _badRequests; }
 
   private:
-    struct ClientSlot;
+    /** One closed-loop client connection: the request in flight, the
+     *  node it went to (-1 = none in flight), and a generation counter,
+     *  so a reply from an attempt the dead-node scan superseded cannot
+     *  advance the slot twice. */
+    struct ClientSlot {
+        storage::FileId file = storage::InvalidFile;
+        int pendingNode = -1;
+        std::uint32_t generation = 0;
+    };
 
-    void issueNext(ClientSlot &slot);
+    /** Closed-loop slot @p slot issues its next request (or retires at
+     *  an open loop's warm-up boundary). */
+    void issueNext(int slot);
     /** Put a GET for @p file on the external fabric from @p node's
-     *  client port, via the LARD front-end when there is one. */
-    void issueRequest(ClientSlot &slot, storage::FileId file, int node,
-                      const RequestOptions &opts = {});
-    void replyFinished(ClientSlot *slot, std::uint32_t gen,
-                       std::uint32_t session_tag);
+     *  client port, via the LARD front-end when there is one. A
+     *  closed-loop @p req (slot >= 0) records it in its slot. */
+    void issueRequest(storage::FileId file, int node, RequestOptions req);
+    void replyFinished(const RequestOptions &req);
     void scheduleArrival();
     void requestArrived(int node, storage::FileId file,
-                        const net::Payload &wire, ClientSlot *slot,
-                        std::uint32_t gen, const RequestOptions &opts);
-    /** Send @p file's HTTP response; replyFinished() when it lands. */
-    void sendReply(int node, int client_port, storage::FileId file,
-                   bool keep_alive, ClientSlot *slot, std::uint32_t gen,
-                   std::uint32_t session_tag);
+                        const net::Payload &wire, RequestOptions req);
+    /** The servers' one reply handler: send @p file's HTTP response
+     *  from @p node to the client; replyFinished() when it lands. */
+    void sendReply(int node, storage::FileId file,
+                   const RequestOptions &req);
     /** Parse the request text on @p wire and check that its path
-     *  resolves to @p file. @return its keep-alive flag; nullopt, with
-     *  one more bad request counted, when either step fails. */
-    std::optional<bool> acceptRequest(storage::FileId file,
-                                      const net::Payload &wire);
+     *  resolves to @p file, recording its keep-alive flag in @p req.
+     *  @return false, with one more bad request counted, when either
+     *  step fails. */
+    bool acceptRequest(storage::FileId file, const net::Payload &wire,
+                       RequestOptions &req);
     void resetForMeasurement();
     /** The trace's metric rows, read from the always-on counters. */
     void writeMetrics(std::vector<obs::MetricSample> &rows) const;
@@ -257,8 +265,7 @@ class PressCluster
     std::vector<std::unique_ptr<osnode::Node>> _nodes;
     std::vector<std::unique_ptr<ClusterComm>> _comms;
     std::vector<std::unique_ptr<PressServer>> _servers;
-    std::vector<std::unique_ptr<ClientSlot>> _clients;
-    std::unique_ptr<ClientSlot> _openSlot; ///< open-loop arrivals
+    std::vector<ClientSlot> _clients;
     std::unique_ptr<workload::RequestFeed> _feed;
     util::Rng _clientRng;
     workload::SiteMap _site;
@@ -272,11 +279,11 @@ class PressCluster
     std::unordered_map<storage::FileId, std::vector<int>> _feSets;
 
     void frontEndRoute(storage::FileId file, const net::Payload &wire,
-                       ClientSlot *slot);
+                       RequestOptions req);
     int lardPick(storage::FileId file);
 
     // Fault-mode client state (all untouched when the plan is empty).
-    bool _faultEnabled = false;
+    const bool _faultEnabled; ///< config.fault is non-empty
     std::vector<char> _clientAlive; ///< client view of node liveness
     std::uint64_t _clientRetries = 0;
     std::vector<std::uint64_t> _replyBuckets;

@@ -62,7 +62,9 @@ enum class Distribution {
      * (building replica sets under load), and back-ends reply straight
      * to clients — efficient but non-portable (TCP hand-off). PRESS's
      * main published comparator: its 8-node throughput is within 7% of
-     * scalable LARD.
+     * scalable LARD. Closed-loop clients only, and no fault plan: the
+     * hand-off has neither an open-loop nor a recovery path, and run()
+     * aborts on either.
      */
     FrontEndLard,
 };
@@ -131,13 +133,6 @@ struct Dissemination {
      *  announce at most once per interval. */
     sim::Tick interval = 20 * util::MS;
 
-    /** Gossip rounds each holder re-pushes a fresh rumor. Every due
-     *  rumor goes out every round — packed into at most one Load plus
-     *  one Caching digest per sampled peer, so the wire carries at
-     *  most 2 * fanout messages per node per interval however many
-     *  rumors are pending. */
-    int gossipRepeats = 2;
-
     static Dissemination piggyBack() { return {Kind::PiggyBack, 1, false}; }
     static Dissemination
     broadcast(int threshold, bool rmw = false)
@@ -200,14 +195,6 @@ struct PressConfig {
     /** Sharded mode: per-node hot-set capacity (LRU entries caching
      *  remote lookup results). */
     std::uint32_t dirHotSet = 1024;
-
-    /** LARD front-end thresholds (Pai et al.): a back-end above
-     *  lardHigh triggers replication when another sits below lardLow. */
-    int lardLow = 25;
-    int lardHigh = 65;
-
-    /** CPU cost of one front-end routing decision + TCP hand-off. */
-    sim::Tick lardRouteCost = 40 * util::US;
 
     /**
      * Per-node file-cache budget. The paper's nodes have 512 MB of
@@ -310,8 +297,9 @@ struct PressConfig {
      * Deterministic fault schedule (crash/restart/leave/join, see
      * fault/fault_plan.hpp). Empty — the default — means a healthy run
      * with zero behavioral difference from builds without the fault
-     * subsystem: every fault branch in the cluster is gated on the
-     * plan being non-empty.
+     * subsystem: PressCluster and every PressServer read it at
+     * construction, and every fault branch is gated on the plan being
+     * non-empty.
      */
     fault::FaultPlan fault;
 

@@ -12,7 +12,6 @@ DisseminationEngine::DisseminationEngine(const Params &p) : _p(p)
     PRESS_ASSERT(p.nodes > 0, "empty cluster");
     PRESS_ASSERT(p.self >= 0 && p.self < p.nodes, "bad self id");
     PRESS_ASSERT(p.fanout >= 1, "fanout must be >= 1");
-    PRESS_ASSERT(p.repeats >= 1, "repeats must be >= 1");
     _loadMaxSeen.assign(static_cast<std::size_t>(p.nodes), 0);
     _cachingSeen.assign(static_cast<std::size_t>(p.nodes), SeqWindow{});
     _loadSlots.assign(static_cast<std::size_t>(p.nodes), {});
@@ -178,7 +177,7 @@ DisseminationEngine::enqueueRelay(const LoadMsg &r)
     // A newer report for the same origin supersedes a queued one.
     if (slot.sendsLeft > 0 && slot.rumor.seq >= r.seq)
         return;
-    slot = {r, _p.repeats};
+    slot = {r, GossipRepeats};
     --slot.rumor.hops;
 }
 
@@ -187,7 +186,7 @@ DisseminationEngine::enqueueRelay(const CachingMsg &r)
 {
     if (r.hops <= 0)
         return;
-    _cachingQueue.push_back({r, _p.repeats});
+    _cachingQueue.push_back({r, GossipRepeats});
     --_cachingQueue.back().rumor.hops;
 }
 
@@ -229,7 +228,7 @@ DisseminationEngine::queueOwnCaching(storage::FileId file, bool cached)
 {
     _cachingQueue.push_back(
         {makeOwnCaching(file, cached, gossipTtl(_p.nodes, _p.fanout)),
-         _p.repeats});
+         GossipRepeats});
 }
 
 bool

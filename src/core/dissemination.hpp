@@ -19,9 +19,9 @@
  *    queued relays — to a fanout-k sample of peers, packed into at
  *    most one Load plus one Caching *digest* message per peer
  *    (LoadDigestMsg/CachingDigestMsg). A rumor is relayed by each
- *    fresh receiver for `repeats` rounds while its hop budget
+ *    fresh receiver for GossipRepeats rounds while its hop budget
  *    (ceil(log_k N) + slack) lasts, so one update reaches the cluster
- *    in O(log_k N) rounds with O(N * k * repeats) rumor copies — but
+ *    in O(log_k N) rounds with O(N * k * GossipRepeats) rumor copies — but
  *    the wire carries at most 2k messages per node per interval no
  *    matter how fast loads move. That per-message O(1) is the
  *    coalescing that beats L1's per-change broadcasts: load rumors
@@ -57,12 +57,18 @@ namespace press::core {
 class DisseminationEngine
 {
   public:
+    /** Gossip rounds each holder re-pushes a fresh rumor. Every due
+     *  rumor goes out every round — packed into at most one Load plus
+     *  one Caching digest per sampled peer, so the wire carries at
+     *  most 2 * fanout messages per node per interval however many
+     *  rumors are pending. */
+    static constexpr int GossipRepeats = 2;
+
     struct Params {
         int nodes = 1;
         int self = 0;
         int fanout = 4;     ///< k: peers per gossip round / tree arity
         int threshold = 1;  ///< load delta worth announcing
-        int repeats = 2;    ///< rounds each holder re-pushes a rumor
         std::uint64_t seed = 0;
     };
 
@@ -165,7 +171,7 @@ class DisseminationEngine
      * (the caller packs them into per-peer digests, so the wire cost
      * is O(fanout) messages regardless); each push drops the rumor's
      * sendsLeft by one and drained rumors leave the queue, so a rumor
-     * occupies at most `repeats` rounds.
+     * occupies at most GossipRepeats rounds.
      */
     template <typename SendFn>
     void
@@ -175,7 +181,7 @@ class DisseminationEngine
         if (loadDirty(current_load))
             _loadSlots[_p.self] = {
                 makeOwnLoad(current_load, gossipTtl(_p.nodes, _p.fanout)),
-                _p.repeats};
+                GossipRepeats};
         samplePeers(_p.seed, _round, _p.self, _p.nodes, _p.fanout,
                     _peerScratch);
         if (_peerScratch.empty())

@@ -26,7 +26,7 @@ constexpr int DeadLoad = 1 << 29;
 PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
                          int id, osnode::Node &node,
                          const storage::FileSet &files, ClusterComm &comm,
-                         std::uint64_t seed)
+                         std::uint64_t seed, ReplyHandler on_reply)
     : _sim(sim),
       _config(config),
       _cal(config.calibration),
@@ -35,9 +35,11 @@ PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
       _files(files),
       _comm(comm),
       _rng(seed),
+      _onReply(std::move(on_reply)),
       _cache(config.cacheBytes),
       _cacheDir(config.nodes),
-      _loadDir(config.nodes, id)
+      _loadDir(config.nodes, id),
+      _faultActive(!config.fault.empty())
 {
     using Kind = Dissemination::Kind;
     const Dissemination &d = config.dissemination;
@@ -65,10 +67,14 @@ PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
         p.self = id;
         p.fanout = d.fanout;
         p.threshold = d.threshold;
-        p.repeats = d.gossipRepeats;
         p.seed = config.seed; // cluster-wide; samples mix in (round, self)
         _dissem = std::make_unique<DisseminationEngine>(p);
         _treeScratch.reserve(static_cast<std::size_t>(d.fanout));
+    }
+
+    if (_faultActive) {
+        _view = std::make_unique<fault::MembershipView>(config.nodes, id);
+        _leftTeardown.assign(static_cast<std::size_t>(config.nodes), 0);
     }
 }
 
@@ -81,8 +87,7 @@ PressServer::replyCost(std::uint64_t bytes) const
 }
 
 void
-PressServer::handleClientRequest(FileId file, ReplyFn on_reply,
-                                 const RequestOptions &opts)
+PressServer::handleClientRequest(FileId file, const RequestOptions &req)
 {
     if (_crashed)
         return; // connection refused; the client's dead-node scan retries
@@ -90,37 +95,26 @@ PressServer::handleClientRequest(FileId file, ReplyFn on_reply,
     ++_openConnections;
     loadChanged();
 
-    if (opts.sessionPhase & 1) {
+    if (req.sessionPhase & RequestOptions::SessionBegin) {
         ++_stats.sessionsOpened;
         PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::SessionLife,
-                                obs::requestId(_id, opts.sessionTag), file);
-    }
-    if (opts.sessionPhase & 2) {
-        // The session span closes when this, its last reply, leaves.
-        on_reply = [this, inner = std::move(on_reply),
-                    stag = opts.sessionTag](std::uint64_t bytes) {
-            ++_stats.sessionsClosed;
-            PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::SessionLife,
-                                  obs::requestId(_id, stag), bytes);
-            if (inner)
-                inner(bytes);
-        };
+                                obs::requestId(_id, req.sessionTag), file);
     }
 
     std::uint32_t tag = _nextTag++;
-    _pending.emplace(tag, Pending{file, std::move(on_reply), _sim.now()});
+    _pending.emplace(tag, Pending{file, req, _sim.now()});
 
     PRESS_TRACE_ASYNC_BEGIN(_tracer, _id, obs::Ev::ReqLife,
                             obs::requestId(_id, tag), file);
 
     sim::Tick cost = _cal.service.parse + _cal.service.loopPass +
                      _comm.perRequestOverhead();
-    if (opts.keepAlive) {
+    if (req.keepAlive) {
         // Reused connection: no accept/teardown inside mu_p.
         ++_stats.keepAliveRequests;
         cost -= _cal.service.connSetup;
     }
-    bool dynamic = opts.dynamic;
+    bool dynamic = req.dynamic;
     if (dynamic)
         ++_stats.dynamicRequests;
     _node.cpu().submit(cost, CatService, [this, file, tag, dynamic]() {
@@ -366,21 +360,21 @@ PressServer::reply(std::uint32_t tag, std::uint64_t file_bytes,
             _comm.fileBufferDone(buffer_owner);
         return;
     }
-    Pending pending = std::move(it->second);
+    Pending pending = it->second;
     _pending.erase(it);
 
     std::uint64_t bytes = file_bytes + _cal.sizes.httpReplyHeader;
-    // Capture only the two Pending fields the completion needs; the
-    // whole struct would overflow EventFn's inline storage. The tag and
-    // buffer owner share one word for the same reason (the owner is a
-    // node id or -1, biased by one into the low half).
+    // Capture only the Pending fields the completion needs, to stay
+    // inside EventFn's 64-byte inline storage. The tag and buffer
+    // owner share one word for the same reason (the owner is a node id
+    // or -1, biased by one into the low half).
     std::uint64_t tag_owner =
         (static_cast<std::uint64_t>(tag) << 32) |
         static_cast<std::uint32_t>(buffer_owner + 1);
     _node.cpu().submit(
         replyCost(bytes), CatClientComm,
-        [this, start = pending.start,
-         on_reply = std::move(pending.onReply), bytes, tag_owner]() {
+        [this, file = pending.file, req = pending.req,
+         start = pending.start, bytes, tag_owner]() {
             int buffer_owner =
                 static_cast<int>(tag_owner & 0xffffffffu) - 1;
             auto tag = static_cast<std::uint32_t>(tag_owner >> 32);
@@ -402,8 +396,15 @@ PressServer::reply(std::uint32_t tag, std::uint64_t file_bytes,
             if (!_faultActive || _openConnections > 0)
                 --_openConnections;
             loadChanged();
-            if (on_reply)
-                on_reply(bytes);
+            if (req.sessionPhase & RequestOptions::SessionEnd) {
+                // The session span closes as its last reply leaves.
+                ++_stats.sessionsClosed;
+                PRESS_TRACE_ASYNC_END(_tracer, _id, obs::Ev::SessionLife,
+                                      obs::requestId(_id, req.sessionTag),
+                                      bytes);
+            }
+            if (_onReply)
+                _onReply(file, bytes, req);
         });
 }
 
@@ -846,16 +847,6 @@ PressServer::emitCachingWave(FileId file, bool cached)
 // Fault tolerance
 // ---------------------------------------------------------------------
 
-void
-PressServer::enableFaultMode()
-{
-    if (_faultActive)
-        return;
-    _faultActive = true;
-    _view = std::make_unique<fault::MembershipView>(_config.nodes, _id);
-    _leftTeardown.assign(static_cast<std::size_t>(_config.nodes), 0);
-}
-
 NodeMask
 PressServer::aliveMask() const
 {
@@ -898,54 +889,84 @@ PressServer::teardownVolatile()
 }
 
 void
-PressServer::faultCrash(std::uint32_t epoch)
+PressServer::verdict(int node, fault::NodeState state, std::uint32_t epoch)
 {
-    PRESS_ASSERT(_faultActive, "faultCrash without enableFaultMode");
-    PRESS_ASSERT(!_crashed, "crash of a node that is already down");
-    _crashed = true;
-    _view->apply(_id, fault::NodeState::Dead, epoch, _sim.now());
-    PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::NodeCrashed,
-                        obs::requestId(_id, 0), epoch);
-    teardownVolatile();
-}
-
-void
-PressServer::faultRestart(std::uint32_t epoch)
-{
-    PRESS_ASSERT(_faultActive, "faultRestart without enableFaultMode");
-    PRESS_ASSERT(_crashed, "restart of a node that is up");
-    _crashed = false;
-    _comm.selfUp();
-    _view->apply(_id, fault::NodeState::Alive, epoch, _sim.now());
-    PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ViewChanged,
-                        obs::requestId(_id, 0),
-                        obs::packKindBytes(_id, epoch));
-    _loadDir.setSelf(0);
-    if (_shardDir)
-        _shardDir->setAlive(aliveMask());
-    // Announce Alive only after the survivors have revived their
-    // endpoints toward this node (their peerRestarted events run
-    // suspectDelay after the restart); an earlier announcement would
-    // just die on their still-broken VIs.
-    _sim.schedule(_config.fault.suspectDelay, [this, epoch]() {
-        if (_crashed)
+    using fault::NodeState;
+    PRESS_ASSERT(_faultActive, "membership verdict without a fault plan");
+    const bool self = node == _id;
+    if (!self && _crashed)
+        return; // a down node's detector hears nothing
+    switch (state) {
+      case NodeState::Suspected:
+        PRESS_ASSERT(!self, "a node cannot suspect itself");
+        if (!_view->apply(node, state, epoch, _sim.now()))
             return;
-        disseminateMembership(news(_id, fault::NodeState::Alive, epoch));
-    });
-}
-
-void
-PressServer::faultLeave(std::uint32_t epoch)
-{
-    PRESS_ASSERT(_faultActive, "faultLeave without enableFaultMode");
-    PRESS_ASSERT(!_crashed, "leave of a node that is already down");
-    // Announce first, keep serving through the drain window; the
-    // cluster schedules faultLeaveDown() drainDelay later.
-    _view->apply(_id, fault::NodeState::Left, epoch, _sim.now());
-    PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ViewChanged,
-                        obs::requestId(_id, 0),
-                        obs::packKindBytes(_id, epoch));
-    disseminateMembership(news(_id, fault::NodeState::Left, epoch));
+        PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::NodeSuspected,
+                            obs::requestId(_id, 0),
+                            obs::packKindBytes(node, epoch));
+        // Tear down this end of the connection: in-flight completions
+        // surface as errors, new sends are suppressed. Not a recovery
+        // trigger yet — a suspicion may still be revoked by a higher-
+        // epoch Alive.
+        _comm.peerDown(node);
+        return;
+      case NodeState::Dead:
+        if (!self) {
+            applyMembership(news(node, state, epoch), /*relay=*/true);
+            return;
+        }
+        PRESS_ASSERT(!_crashed, "crash of a node that is already down");
+        _crashed = true;
+        _view->apply(_id, state, epoch, _sim.now());
+        PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::NodeCrashed,
+                            obs::requestId(_id, 0), epoch);
+        teardownVolatile();
+        return;
+      case NodeState::Left:
+        if (!self) {
+            // The leaver's drain window closed. Force the view in case
+            // the Left rumor never arrived, then tear down through the
+            // once-per-departure gate (the rumor may already have
+            // scheduled the same teardown).
+            applyMembership(news(node, state, epoch), /*relay=*/false);
+            leftHardTeardown(node, epoch);
+            return;
+        }
+        PRESS_ASSERT(!_crashed, "leave of a node that is already down");
+        // Announce first, keep serving through the drain window; the
+        // cluster schedules faultLeaveDown() drainDelay later.
+        _view->apply(_id, state, epoch, _sim.now());
+        PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ViewChanged,
+                            obs::requestId(_id, 0),
+                            obs::packKindBytes(_id, epoch));
+        disseminateMembership(news(_id, state, epoch));
+        return;
+      case NodeState::Alive:
+        if (!self) {
+            applyMembership(news(node, state, epoch), /*relay=*/true);
+            return;
+        }
+        PRESS_ASSERT(_crashed, "restart of a node that is up");
+        _crashed = false;
+        _comm.selfUp();
+        _view->apply(_id, state, epoch, _sim.now());
+        PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::ViewChanged,
+                            obs::requestId(_id, 0),
+                            obs::packKindBytes(_id, epoch));
+        _loadDir.setSelf(0);
+        if (_shardDir)
+            _shardDir->setAlive(aliveMask());
+        // Announce Alive only after the survivors have revived their
+        // endpoints toward this node (their Alive verdicts come
+        // suspectDelay after the restart); an earlier announcement
+        // would just die on their still-broken VIs.
+        _sim.schedule(_config.fault.suspectDelay, [this, epoch]() {
+            if (_crashed)
+                return;
+            disseminateMembership(news(_id, NodeState::Alive, epoch));
+        });
+        return;
+    }
 }
 
 void
@@ -958,49 +979,6 @@ PressServer::faultLeaveDown()
 }
 
 void
-PressServer::peerSuspected(int peer, std::uint32_t epoch)
-{
-    if (_crashed)
-        return;
-    if (!_view->apply(peer, fault::NodeState::Suspected, epoch,
-                      _sim.now()))
-        return;
-    PRESS_TRACE_INSTANT(_tracer, _id, obs::Ev::NodeSuspected,
-                        obs::requestId(_id, 0),
-                        obs::packKindBytes(peer, epoch));
-    // Tear down this end of the connection: in-flight completions
-    // surface as errors, new sends are suppressed. Not a recovery
-    // trigger yet — a suspicion may still be revoked by a higher-
-    // epoch Alive.
-    _comm.peerDown(peer);
-}
-
-void
-PressServer::peerGone(int peer, std::uint32_t epoch,
-                      fault::NodeState state)
-{
-    if (_crashed)
-        return;
-    PRESS_ASSERT(state == fault::NodeState::Dead ||
-                     state == fault::NodeState::Left,
-                 "peerGone wants Dead or Left");
-    applyMembership(news(peer, state, epoch), /*relay=*/true);
-}
-
-void
-PressServer::peerLeftTeardown(int peer, std::uint32_t epoch)
-{
-    if (_crashed)
-        return;
-    // Force the view in case the Left rumor never arrived, then tear
-    // down through the once-per-departure gate (the rumor path may
-    // already have scheduled the same teardown).
-    applyMembership(news(peer, fault::NodeState::Left, epoch),
-                    /*relay=*/false);
-    leftHardTeardown(peer, epoch);
-}
-
-void
 PressServer::leftHardTeardown(int peer, std::uint32_t epoch)
 {
     if (_crashed || _leftTeardown[static_cast<std::size_t>(peer)] >= epoch)
@@ -1008,15 +986,6 @@ PressServer::leftHardTeardown(int peer, std::uint32_t epoch)
     _leftTeardown[static_cast<std::size_t>(peer)] = epoch;
     _comm.peerDown(peer);
     recoverFromDeath(peer);
-}
-
-void
-PressServer::peerRestarted(int peer, std::uint32_t epoch)
-{
-    if (_crashed)
-        return;
-    applyMembership(news(peer, fault::NodeState::Alive, epoch),
-                    /*relay=*/true);
 }
 
 MembershipMsg
@@ -1051,9 +1020,9 @@ PressServer::applyMembership(const MembershipMsg &msg, bool relay)
             // Graceful departure: stop handing the leaver new work
             // (aliveNode() is now false) but let in-flight traffic
             // drain, then run the hard teardown. Survivors that were
-            // up for the departure also get a pre-scheduled
-            // peerLeftTeardown(); the epoch gate in leftHardTeardown()
-            // makes whichever path fires second a no-op. The rumor
+            // up for the departure also get the detector's Left
+            // verdict; the epoch gate in leftHardTeardown() makes
+            // whichever path fires second a no-op. The rumor
             // path matters for a node that was down during the leave:
             // its pre-scheduled teardown was dropped, and without this
             // it would keep routing to the departed node forever.

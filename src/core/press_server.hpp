@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/comm.hpp"
@@ -38,23 +39,41 @@
 
 namespace press::core {
 
-/** Invoked when the reply for a client request is ready to transmit;
- *  @p bytes is the full reply size (headers + file). */
-using ReplyFn = std::function<void(std::uint64_t bytes)>;
-
 /**
- * Per-request options the open-loop traffic engine threads through the
- * client path. The defaults reproduce the classic request exactly —
- * fresh connection, static content, no session — so closed-loop runs
- * and unshaped open-loop runs are untouched.
+ * A client request's whole client-side record. The shape fields come
+ * from the open-loop traffic engine; their defaults reproduce the
+ * classic request exactly — fresh connection, static content, no
+ * session. The client fills in the rest. The server keeps the record
+ * with the pending request and hands it back, unchanged, to its reply
+ * handler. It stays trivially copyable and small, so the reply
+ * completion that carries it still fits sim::EventFn's inline storage.
  */
 struct RequestOptions {
+    static constexpr std::uint8_t SessionBegin = 1; ///< sessionPhase bit
+    static constexpr std::uint8_t SessionEnd = 2;   ///< sessionPhase bit
+
     bool keepAlive = false;  ///< reused connection: parse skips connSetup
     bool dynamic = false;    ///< dynamic-content class: CPU-generated page
-    std::uint8_t sessionPhase = 0; ///< bit 0: first request of a session,
-                                   ///< bit 1: last request of a session
+    std::uint8_t sessionPhase = 0; ///< SessionBegin | SessionEnd bits
+    bool replyKeepAlive = false;   ///< the parsed request's keep-alive
+                                   ///< flag, echoed by the response
     std::uint32_t sessionTag = 0;  ///< obs session-span tag; 0 = no session
+    std::int32_t slot = -1;        ///< closed-loop client slot; -1 = an
+                                   ///< open-loop arrival
+    std::uint32_t generation = 0;  ///< the slot's generation at issue
+
+    bool operator==(const RequestOptions &) const = default;
 };
+
+static_assert(std::is_trivially_copyable_v<RequestOptions> &&
+                  sizeof(RequestOptions) <= 24,
+              "RequestOptions rides in the reply completion's EventFn");
+
+/** Receives each reply when it is ready to transmit: the file, the
+ *  full reply size @p bytes (headers + file) and the request's record
+ *  as handleClientRequest() got it. */
+using ReplyHandler = std::function<void(
+    storage::FileId file, std::uint64_t bytes, const RequestOptions &req)>;
 
 /** Counters one server instance accumulates. */
 struct ServerStats {
@@ -109,23 +128,28 @@ class PressServer
      * @param files   the served file population
      * @param comm    intra-cluster communication endpoint
      * @param seed    per-node randomness (NLB service-node choice)
+     * @param on_reply where every reply goes (may be empty)
+     *
+     * A non-empty config.fault switches on the fault machinery (the
+     * membership view and the fault-gated branches); with an empty
+     * plan the server behaves bit-identically to a build without it.
      */
     PressServer(sim::Simulator &sim, const PressConfig &config, int id,
                 osnode::Node &node, const storage::FileSet &files,
-                ClusterComm &comm, std::uint64_t seed);
+                ClusterComm &comm, std::uint64_t seed,
+                ReplyHandler on_reply = {});
 
     PressServer(const PressServer &) = delete;
     PressServer &operator=(const PressServer &) = delete;
 
     /**
      * A client request for @p file arrived at this node (it is the
-     * initial node). @p on_reply fires when the reply is ready for the
-     * external network. @p opts carries the traffic engine's request
-     * shaping (keep-alive, class, session span); the default is the
-     * classic request.
+     * initial node). @p req shapes it (keep-alive, class, session
+     * span); the reply handler gets it back when the reply is ready
+     * for the external network.
      */
-    void handleClientRequest(storage::FileId file, ReplyFn on_reply,
-                             const RequestOptions &opts = {});
+    void handleClientRequest(storage::FileId file,
+                             const RequestOptions &req = {});
 
     /** This node's load metric: client connections it is handling plus
      *  forwarded requests it is servicing. */
@@ -166,52 +190,38 @@ class PressServer
     // --- fault tolerance (driven by Cluster::setupFaults) -------------
 
     /**
-     * Activate the fault machinery: allocate the membership view and
-     * switch on the fault-gated branches. Called once per server before
-     * run() when PressConfig::fault is non-empty; without this call the
-     * server behaves bit-identically to a build without the subsystem.
+     * One first-hand membership verdict: @p node is in @p state as of
+     * @p epoch, the fault epoch from FaultPlan::timeline().
+     *
+     * About this node, it is the plan's own event. Dead crashes it:
+     * pending requests, cache and directories are lost and the comm
+     * endpoint goes down. Alive brings it back cold after a crash or a
+     * leave. Left announces a graceful leave; the node keeps serving
+     * until faultLeaveDown().
+     *
+     * About a peer, it is the failure detector's verdict. Suspected
+     * (silent for suspectDelay) tears down this end of the connection.
+     * Dead (suspicion hardened after confirmDelay) and Alive (back
+     * again) are applied and relayed like a first-hand rumor, running
+     * recovery. Left (the leaver's drain window closed) tears the
+     * connection down and runs recovery, once per departure.
      */
-    void enableFaultMode();
+    void verdict(int node, fault::NodeState state, std::uint32_t epoch);
 
-    /** This node crashes now: pending requests dropped, cache and
-     *  directories lost, comm endpoint down. @p epoch is the fault
-     *  epoch from FaultPlan::timeline(). */
-    void faultCrash(std::uint32_t epoch);
-
-    /** This node returns cold after a crash (or rejoins after leave). */
-    void faultRestart(std::uint32_t epoch);
-
-    /** This node leaves gracefully: announce Left now, keep serving;
-     *  the cluster schedules the actual teardown after drainDelay. */
-    void faultLeave(std::uint32_t epoch);
-
-    /** Teardown half of a graceful leave (after the drain window). */
+    /** Teardown half of this node's graceful leave (after the drain
+     *  window). */
     void faultLeaveDown();
-
-    /** Failure detector: @p peer has been silent for suspectDelay. */
-    void peerSuspected(int peer, std::uint32_t epoch);
-
-    /** Failure detector: suspicion hardened after confirmDelay; run
-     *  recovery. @p state is Dead for crashes, Left for departures. */
-    void peerGone(int peer, std::uint32_t epoch, fault::NodeState state);
-
-    /** A leaver's drain window closed: tear down the connection and
-     *  run recovery (the Left rumor itself only stops new work). */
-    void peerLeftTeardown(int peer, std::uint32_t epoch);
-
-    /** A restarted/joined peer announced itself Alive again. */
-    void peerRestarted(int peer, std::uint32_t epoch);
 
     /** True while this node is down (crashed or left-and-drained). */
     bool crashed() const { return _crashed; }
 
-    /** Membership view (null until enableFaultMode()). */
+    /** Membership view (null without a fault plan). */
     const fault::MembershipView *membership() const { return _view.get(); }
 
   private:
     struct Pending {
         storage::FileId file;
-        ReplyFn onReply;
+        RequestOptions req;
         sim::Tick start;
         /** Fault mode: peer this request waits on (-1 = none); death of
          *  that peer triggers a retry at this, the initial node. */
@@ -295,7 +305,8 @@ class PressServer
     void applyMembership(const MembershipMsg &msg, bool relay);
 
     /** Hard teardown of a departed @p peer, at most once per leave
-     *  epoch (the rumor path and peerLeftTeardown() both lead here). */
+     *  epoch (the Left rumor and the detector's Left verdict both lead
+     *  here). */
     void leftHardTeardown(int peer, std::uint32_t epoch);
 
     /** Push an accepted membership change to peers: unicast flood for
@@ -358,6 +369,7 @@ class PressServer
     const storage::FileSet &_files;
     ClusterComm &_comm;
     util::Rng _rng;
+    ReplyHandler _onReply;
 
     storage::FileCache _cache;
     CacheDirectory _cacheDir;
@@ -385,12 +397,12 @@ class PressServer
 
     obs::Tracer *_tracer = nullptr;
 
-    bool _faultActive = false; ///< enableFaultMode() was called
+    const bool _faultActive; ///< config.fault is non-empty
     bool _crashed = false;     ///< this node is currently down
     std::unique_ptr<fault::MembershipView> _view;
-    /** Highest leave epoch already hard-torn-down, per peer: the rumor
-     *  path and the pre-scheduled peerLeftTeardown() both lead here,
-     *  and the teardown must run exactly once per departure. */
+    /** Highest leave epoch already hard-torn-down, per peer: the Left
+     *  rumor and the detector's Left verdict both lead here, and the
+     *  teardown must run exactly once per departure. */
     std::vector<std::uint32_t> _leftTeardown;
 
     sim::Tick _statsEpoch = 0;

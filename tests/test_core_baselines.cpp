@@ -119,6 +119,27 @@ TEST(LardMode, PressIsCompetitive)
     EXPECT_GT(press_r.throughput, lard.throughput * 0.75);
 }
 
+// The front-end's hand-off has no open-loop or recovery path: run()
+// refuses both rather than simulate them half-way.
+TEST(LardModeDeathTest, OpenLoopIsRejected)
+{
+    workload::Trace trace = baselineTrace(2000);
+    PressConfig c = baseConfig(Distribution::FrontEndLard);
+    c.clientMode = PressConfig::ClientMode::OpenLoop;
+    c.traffic = traffic::steadyScenario(500);
+    PressCluster cluster(c, trace);
+    EXPECT_DEATH(cluster.run(), "closed-loop only");
+}
+
+TEST(LardModeDeathTest, FaultPlanIsRejected)
+{
+    workload::Trace trace = baselineTrace(2000);
+    PressConfig c = baseConfig(Distribution::FrontEndLard);
+    c.fault.crash(1, 100 * util::MS).restart(1, 200 * util::MS);
+    PressCluster cluster(c, trace);
+    EXPECT_DEATH(cluster.run(), "fault plans are not supported");
+}
+
 TEST(Labels, DistributionVisibleInLabel)
 {
     PressConfig c;

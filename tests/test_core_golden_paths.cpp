@@ -2,13 +2,15 @@
  * @file
  * Golden-stats regression for the server paths test_core_golden does
  * not reach: gossip rounds over a sharded directory, tree waves,
- * membership rumors under a crash/restart plan, and the open-loop
- * client path with keep-alive sessions and the dynamic request class.
+ * membership rumors under a crash/restart plan, a graceful leave and
+ * join, a crash that overlaps another node's leave, the LARD
+ * front-end's hand-off, and the open-loop client path with keep-alive
+ * sessions and the dynamic request class.
  *
  * Same contract as test_core_golden: the constants were captured from
  * complete runs and are compared exactly. Each run pins throughput,
  * the event count, the final tick, the per-kind message counts and the
- * counter its path owns. Latency percentiles are deliberately left
+ * counters its path owns. Latency percentiles are deliberately left
  * out: they come from a log-bucket histogram whose rule is expected to
  * change on its own schedule, and these pins guard the message paths.
  *
@@ -142,4 +144,78 @@ TEST(GoldenPaths, OpenLoopKeepAliveDynamicViaV5FourNodes)
     EXPECT_EQ(g.r.keepAliveRequests, 6944u);
     EXPECT_EQ(g.r.dynamicRequests, 2033u);
     EXPECT_EQ(g.r.sessionsClosed, 1023u);
+}
+
+TEST(GoldenPaths, LardFrontEndTcpClanFourNodes)
+{
+    core::PressConfig config;
+    config.protocol = core::Protocol::TcpClan;
+    config.nodes = 4;
+    config.distribution = core::Distribution::FrontEndLard;
+    auto g = runGolden(config, 20000);
+
+    EXPECT_EQ(g.r.throughput, 923.05980052574205);
+    EXPECT_EQ(g.r.requestsMeasured, 20351u);
+    EXPECT_EQ(g.events, 507176u);
+    EXPECT_EQ(g.now, 78115703407);
+    EXPECT_EQ(g.msgs, (KindCounts{0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(g.r.requestsLost, 0u);
+    EXPECT_EQ(g.r.clientRetries, 0u);
+    EXPECT_EQ(g.r.membershipSends, 0u);
+    EXPECT_EQ(g.r.reAnnouncedFiles, 0u);
+}
+
+namespace {
+
+/** The fault suite's churn shape: 8 nodes of 4 clients each, no
+ *  warm-up, so the plan's times are absolute simulated time. */
+core::PressConfig
+churnConfig(core::Version version, const char *plan)
+{
+    core::PressConfig config;
+    config.protocol = core::Protocol::ViaClan;
+    config.version = version;
+    config.nodes = 8;
+    config.clientsPerNode = 4;
+    config.warmupFraction = 0.0;
+    config.fault = fault::FaultPlan::parse(plan);
+    return config;
+}
+
+} // namespace
+
+TEST(GoldenPaths, LeaveJoinPiggyBackReplicatedViaV5EightNodes)
+{
+    auto config = churnConfig(core::Version::V5,
+                              "leave:3@200ms;join:3@600ms");
+    auto g = runGolden(config, 8000);
+
+    EXPECT_EQ(g.r.throughput, 476.66697053947706);
+    EXPECT_EQ(g.r.requestsMeasured, 8000u);
+    EXPECT_EQ(g.events, 341362u);
+    EXPECT_EQ(g.now, 16783206084);
+    EXPECT_EQ(g.msgs, (KindCounts{0, 12125, 2507, 36095, 5014, 56}));
+    EXPECT_EQ(g.r.requestsLost, 0u);
+    EXPECT_EQ(g.r.clientRetries, 6u);
+    EXPECT_EQ(g.r.membershipSends, 56u);
+    EXPECT_EQ(g.r.reAnnouncedFiles, 177u);
+}
+
+TEST(GoldenPaths, CrashOverlappingLeaveGossipShardedViaV0EightNodes)
+{
+    auto config = churnConfig(core::Version::V0,
+                              "crash:1@200ms;leave:3@250ms;restart:1@600ms");
+    config.dissemination = core::Dissemination::gossip();
+    config.directoryMode = core::DirectoryMode::Sharded;
+    auto g = runGolden(config, 8000);
+
+    EXPECT_EQ(g.r.throughput, 239.5672554099057);
+    EXPECT_EQ(g.r.requestsMeasured, 8000u);
+    EXPECT_EQ(g.events, 613966u);
+    EXPECT_EQ(g.now, 33466976481);
+    EXPECT_EQ(g.msgs, (KindCounts{35189, 13242, 11620, 5462, 734, 72}));
+    EXPECT_EQ(g.r.requestsLost, 0u);
+    EXPECT_EQ(g.r.clientRetries, 11u);
+    EXPECT_EQ(g.r.membershipSends, 72u);
+    EXPECT_EQ(g.r.reAnnouncedFiles, 30u);
 }

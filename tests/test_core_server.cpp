@@ -28,12 +28,20 @@ class FakeComm : public ClusterComm
         WireMsg msg;
     };
     std::vector<Sent> sent;
+    std::vector<int> downs; ///< peerDown() calls, in order
 
     void
     send(int dst, WireBody body) override
     {
         MsgKind kind = kindOf(body);
         sent.push_back(Sent{dst, kind, WireMsg{-1, -1, std::move(body)}});
+    }
+
+    void
+    peerDown(int peer) override
+    {
+        downs.push_back(peer);
+        ClusterComm::peerDown(peer);
     }
 
     /** Inject a message as if it arrived from @p from. */
@@ -58,13 +66,20 @@ class FakeComm : public ClusterComm
 /** A single server instance on node 0 of a @p nodes cluster (4 by
  *  default). */
 struct ServerRig {
+    /** What the reply handler got, besides the reply size. */
+    struct Returned {
+        FileId file;
+        RequestOptions req;
+    };
+
     PressConfig config;
     sim::Simulator sim;
     std::unique_ptr<osnode::Node> node;
     storage::FileSet files;
     FakeComm comm;
     std::unique_ptr<PressServer> server;
-    std::vector<std::uint64_t> replies;
+    std::vector<std::uint64_t> replies; ///< reply sizes, in order
+    std::vector<Returned> returned;     ///< same replies
 
     explicit ServerRig(Dissemination diss = Dissemination::piggyBack(),
                        std::vector<std::uint32_t> sizes = {}, int nodes = 4)
@@ -76,15 +91,25 @@ struct ServerRig {
             sizes = {10000, 20000, 30000, 600000, 10000};
         files = storage::FileSet(std::move(sizes));
         node = std::make_unique<osnode::Node>(sim, 0);
-        server = std::make_unique<PressServer>(sim, config, 0, *node,
-                                               files, comm, 99);
+        rebuild();
+    }
+
+    /** (Re)build the server from the current config. */
+    void
+    rebuild()
+    {
+        server = std::make_unique<PressServer>(
+            sim, config, 0, *node, files, comm, 99,
+            [this](FileId file, std::uint64_t b, const RequestOptions &req) {
+                replies.push_back(b);
+                returned.push_back({file, req});
+            });
     }
 
     void
-    request(FileId file)
+    request(FileId file, const RequestOptions &req = {})
     {
-        server->handleClientRequest(
-            file, [this](std::uint64_t b) { replies.push_back(b); });
+        server->handleClientRequest(file, req);
     }
 };
 
@@ -260,9 +285,7 @@ TEST(ServerPolicy, EvictionBroadcastsUncaching)
     ServerRig rig(Dissemination::piggyBack(),
                   {10000, 10000, 10000, 10000});
     rig.config.cacheBytes = 15000;
-    // Rebuild the server with the small cache.
-    rig.server = std::make_unique<PressServer>(
-        rig.sim, rig.config, 0, *rig.node, rig.files, rig.comm, 99);
+    rig.rebuild(); // with the small cache
     rig.request(0);
     rig.sim.run();
     rig.comm.sent.clear();
@@ -364,10 +387,10 @@ TEST(ServerPolicy, GossipDuplicateOnlyWidensTheQueuedHopBudget)
                 if (m.origin == RumorOrigin)
                     relayed.push_back(m);
     // One queued copy: each round pushes it once to each sampled peer,
-    // for gossipRepeats rounds, with the wider budget less one hop.
-    const auto &d = rig.config.dissemination;
+    // for GossipRepeats rounds, with the wider budget less one hop.
     EXPECT_EQ(relayed.size(),
-              static_cast<std::size_t>(d.gossipRepeats * d.fanout));
+              static_cast<std::size_t>(DisseminationEngine::GossipRepeats *
+                                       rig.config.dissemination.fanout));
     for (const LoadMsg &m : relayed)
         EXPECT_EQ(m, (LoadMsg{7, RumorOrigin, 1, 4}));
 }
@@ -375,8 +398,11 @@ TEST(ServerPolicy, GossipDuplicateOnlyWidensTheQueuedHopBudget)
 TEST(ServerPolicy, FaultModeRumorAboutDeadNodeIsRelayedNotApplied)
 {
     ServerRig rig(Dissemination::tree(2), {}, RumorNodes);
-    rig.server->enableFaultMode();
-    rig.server->peerGone(RumorOrigin, 1, fault::NodeState::Dead);
+    // A plan in the config is what switches the fault machinery on.
+    rig.config.fault.crash(RumorOrigin, util::SEC)
+        .restart(RumorOrigin, 2 * util::SEC);
+    rig.rebuild();
+    rig.server->verdict(RumorOrigin, fault::NodeState::Dead, 1);
     int dead_load = rig.server->loadDirectory().load(RumorOrigin);
     rig.comm.sent.clear();
 
@@ -391,10 +417,124 @@ TEST(ServerPolicy, FaultModeRumorAboutDeadNodeIsRelayedNotApplied)
 
     // ...and the caching news was not recorded: once the node is back,
     // the file is still a first touch here rather than a forward.
-    rig.server->peerRestarted(RumorOrigin, 2);
+    rig.server->verdict(RumorOrigin, fault::NodeState::Alive, 2);
     rig.comm.sent.clear();
     rig.request(2);
     rig.sim.run();
     EXPECT_EQ(rig.comm.count(MsgKind::Forward), 0);
     EXPECT_EQ(rig.server->stats().localDiskReads, 1u);
+}
+
+TEST(ServerPolicy, DepartureTearsDownOnceWhicheverPathComesSecond)
+{
+    // A graceful leave reaches a survivor twice: the Left rumor
+    // schedules a teardown drainDelay later, and the failure
+    // detector's Left verdict tears down too. Either order, the
+    // connection goes down and recovery runs once. Sharded, so
+    // recovery is visible: every cached file whose shard the leaver
+    // owned is re-announced to its new owner.
+    constexpr int Leaver = 3;
+    for (bool verdict_first : {false, true}) {
+        SCOPED_TRACE(verdict_first ? "verdict first" : "rumor first");
+        ServerRig rig(Dissemination::piggyBack(),
+                      std::vector<std::uint32_t>(32, 1000));
+        rig.config.directoryMode = DirectoryMode::Sharded;
+        rig.config.fault.leave(Leaver, util::SEC);
+        rig.rebuild();
+
+        // Serve and cache, for node 1, every file the leaver owns.
+        std::uint64_t owned = 0;
+        for (FileId f = 0; f < 32; ++f) {
+            if (rig.server->shardDirectory()->ownerOf(f) != Leaver)
+                continue;
+            ++owned;
+            rig.comm.inject(1, ForwardMsg{f, f + 1});
+        }
+        rig.sim.run();
+        ASSERT_GT(owned, 0u);
+        ASSERT_EQ(rig.server->cache().files(), owned);
+
+        rig.comm.inject(
+            Leaver, MembershipMsg{Leaver,
+                                  static_cast<std::uint8_t>(
+                                      fault::NodeState::Left),
+                                  1, Leaver, 0});
+        if (verdict_first)
+            rig.server->verdict(Leaver, fault::NodeState::Left, 1);
+        rig.sim.run();
+        if (!verdict_first)
+            rig.server->verdict(Leaver, fault::NodeState::Left, 1);
+        rig.sim.run();
+
+        EXPECT_EQ(rig.comm.downs, std::vector<int>{Leaver});
+        EXPECT_EQ(rig.server->stats().reAnnouncedFiles, owned);
+        EXPECT_FALSE(rig.server->membership()->aliveNode(Leaver));
+    }
+}
+
+TEST(ServerPolicy, ReplyHandlerGetsTheRequestRecordBackUnchanged)
+{
+    ServerRig rig;
+    rig.request(0); // cache file 0 for the local hit below
+    rig.sim.run();
+    rig.returned.clear();
+
+    RequestOptions base;
+    base.replyKeepAlive = true;
+    base.slot = 5;
+    base.generation = 3;
+
+    // A local cache hit.
+    RequestOptions hit = base;
+    rig.request(0, hit);
+    rig.sim.run();
+
+    // A forward: node 2 caches file 1 and sends it back.
+    RequestOptions fwd = base;
+    fwd.slot = 6;
+    fwd.generation = 9;
+    rig.comm.inject(2, CachingMsg{1, true});
+    rig.request(1, fwd);
+    rig.sim.run();
+    const ForwardMsg *f = nullptr;
+    for (const auto &sent : rig.comm.sent)
+        if (const auto *m = std::get_if<ForwardMsg>(&sent.msg.body))
+            f = m;
+    ASSERT_TRUE(f);
+    rig.comm.inject(2, FileMsg{1, f->tag, 20000});
+    rig.sim.run();
+
+    // A dynamic open-loop request.
+    RequestOptions dyn;
+    dyn.dynamic = true;
+    dyn.keepAlive = true;
+    dyn.sessionTag = 0x800007;
+    rig.request(2, dyn);
+    rig.sim.run();
+
+    ASSERT_EQ(rig.returned.size(), 3u);
+    EXPECT_EQ(rig.returned[0].file, 0u);
+    EXPECT_EQ(rig.returned[0].req, hit);
+    EXPECT_EQ(rig.returned[1].file, 1u);
+    EXPECT_EQ(rig.returned[1].req, fwd);
+    EXPECT_EQ(rig.returned[2].file, 2u);
+    EXPECT_EQ(rig.returned[2].req, dyn);
+    EXPECT_EQ(rig.server->stats().forwardedOut, 1u);
+    EXPECT_EQ(rig.server->stats().dynamicRequests, 1u);
+
+    // A three-request session: only its last reply closes it.
+    const std::uint8_t phases[] = {RequestOptions::SessionBegin, 0,
+                                   RequestOptions::SessionEnd};
+    const std::uint64_t closed_after[] = {0, 0, 1};
+    for (int i = 0; i < 3; ++i) {
+        RequestOptions r;
+        r.sessionPhase = phases[i];
+        r.sessionTag = 0x800009;
+        r.keepAlive = i > 0;
+        rig.request(0, r);
+        rig.sim.run();
+        EXPECT_EQ(rig.returned.back().req, r);
+        EXPECT_EQ(rig.server->stats().sessionsClosed, closed_after[i]);
+    }
+    EXPECT_EQ(rig.server->stats().sessionsOpened, 1u);
 }

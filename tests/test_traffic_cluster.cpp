@@ -175,7 +175,7 @@ TEST(TrafficCluster, KeepAliveSkipsConnectionSetupExactly)
         PressServer server(sim, config, 0, node, files, comm, 99);
         RequestOptions opts;
         opts.keepAlive = reused == 1;
-        server.handleClientRequest(1, [](std::uint64_t) {}, opts);
+        server.handleClientRequest(1, opts);
         sim.run();
         ASSERT_EQ(server.stats().latency.count(), 1u);
         latency[reused] =
