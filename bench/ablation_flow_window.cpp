@@ -3,9 +3,9 @@
  * Ablation: window-based flow control sizing.
  *
  * PRESS's fifth message type exists because VIA receive descriptors and
- * RMW ring slots are finite. This bench sweeps the window size for the
- * regular channel and the file ring and reports throughput and sender
- * stalls, for V0 (everything regular) and V5 (everything RMW): tiny
+ * RMW ring slots are finite. This bench sweeps PressConfig::flowWindow
+ * (every channel's window; credits return in batches of half of it)
+ * and reports throughput and sender stalls, for V0 (everything regular) and V5 (everything RMW): tiny
  * windows serialize file transfers behind credit round-trips; beyond a
  * handful of slots the returns diminish — which is why the paper's
  * buffers are small.
@@ -38,10 +38,7 @@ main(int argc, char **argv)
             PressConfig config;
             config.protocol = Protocol::ViaClan;
             config.version = v;
-            config.controlWindow = window;
-            config.fileWindow = window;
-            config.controlCreditBatch = std::max(1, window / 2);
-            config.fileCreditBatch = std::max(1, window / 2);
+            config.flowWindow = window; // credits return window/2 at a time
             runner.add(trace, config);
         }
     }

@@ -1,12 +1,9 @@
 #include "bench_common.hpp"
 
-#include <atomic>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -14,60 +11,12 @@
 #include "obs/summary.hpp"
 #include "obs/trace_io.hpp"
 #include "util/cli.hpp"
+#include "util/for_each_index.hpp"
 #include "util/logging.hpp"
 
 namespace press::bench {
 
 namespace {
-
-/**
- * Run fn(0..n-1) across up to @p jobs threads, each index exactly once.
- * Indices are claimed from a shared counter, so threads stay busy even
- * when per-index cost varies wildly (a disk-bound cell can take 10x a
- * cached one). The first exception is captured and rethrown after all
- * workers finish, keeping partial results intact.
- */
-template <typename Fn>
-void
-forEachIndex(std::size_t n, int jobs, Fn &&fn)
-{
-    if (n == 0)
-        return;
-    if (jobs > static_cast<int>(n))
-        jobs = static_cast<int>(n);
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
 
 core::ClusterResults
 runCell(const Cell &cell, const Options &opts)
@@ -81,7 +30,14 @@ runCell(const Cell &cell, const Options &opts)
         config.tieBreakSeed = opts.permuteSeed;
     }
     core::PressCluster cluster(config, *cell.trace);
-    return cluster.run(cell.maxRequests);
+    core::ClusterResults r = cluster.run(cell.maxRequests);
+    // Only a fault plan may leave a request unanswered; anywhere else a
+    // stranded request is a simulator bug (a stalled credit window, a
+    // lost reply), and its cell's numbers must not be printed.
+    if (config.fault.empty() && r.requestsLost != 0)
+        util::panic(r.configLabel, ": ", r.requestsLost,
+                    " requests lost without a fault plan");
+    return r;
 }
 
 } // namespace
@@ -169,9 +125,10 @@ TraceSet::TraceSet(const Options &opts)
     // Generation is deterministic per spec (own RNG), so the traces can
     // be built concurrently and still come out identical.
     _traces.resize(specs.size());
-    forEachIndex(specs.size(), opts.resolvedJobs(), [&](std::size_t i) {
-        _traces[i] = workload::generateTrace(specs[i]);
-    });
+    util::forEachIndex(specs.size(), opts.resolvedJobs(),
+                       [&](std::size_t i) {
+                           _traces[i] = workload::generateTrace(specs[i]);
+                       });
 }
 
 std::size_t
@@ -200,10 +157,10 @@ ParallelRunner::run()
     if (_ran)
         return _results;
     _results.resize(_cells.size());
-    forEachIndex(_cells.size(), _opts.resolvedJobs(),
-                 [&](std::size_t i) {
-                     _results[i] = runCell(_cells[i], _opts);
-                 });
+    util::forEachIndex(_cells.size(), _opts.resolvedJobs(),
+                       [&](std::size_t i) {
+                           _results[i] = runCell(_cells[i], _opts);
+                       });
     _ran = true;
     return _results;
 }

@@ -13,8 +13,12 @@
  *               [--configs tcpfe,tcpclan,via0,via5,lard,oblivious]
  *               [--csv FILE] [--jobs N]
  *
+ * `--param window` sets PressConfig::flowWindow, the flow-control
+ * window of every VIA channel; credits return half a window at a time.
+ *
  * Cells run concurrently on --jobs worker threads (default: one per
- * hardware thread); the table is identical for any jobs count.
+ * hardware thread); the table is identical for any jobs count. A cell
+ * that strands a request aborts the run (bench::ParallelRunner).
  */
 
 #include <cstring>
@@ -83,7 +87,7 @@ applyParam(PressConfig &c, const std::string &param, double value)
     else if (param == "cache-mb")
         c.cacheBytes = static_cast<std::uint64_t>(value) * util::MB;
     else if (param == "window")
-        c.controlWindow = c.fileWindow = static_cast<int>(value);
+        c.flowWindow = static_cast<int>(value);
     else if (param == "threshold")
         c.overloadThreshold = static_cast<int>(value);
     else

@@ -3,6 +3,7 @@
 #
 #   (a) tier-1 build + full ctest, with the VIA invariant checker on,
 #       plus an event-kernel microbench smoke run (allocs/event == 0)
+#       and a flow-control window sweep that must strand no request
 #   (b) AddressSanitizer + UBSan build + full ctest, checker still on
 #   (c) ThreadSanitizer build + every multi-threaded harness: the
 #       ParallelRunner sweep, the tracing structures its workers write
@@ -69,6 +70,10 @@ stage_tier1() {
     # Kernel smoke: the microbench exits nonzero if the zero-
     # allocation contract breaks (JSON lands in the build tree).
     ./build/bench/sim_micro --json build/BENCH_sim.json
+    # Windows below the default credit batch: every cell must answer
+    # every request (the sweep runner aborts on a stranded one).
+    ./build/examples/press_sweep --param window --values 1,2,3,8 \
+        --configs via0,via5 --requests 8000 --jobs 4
 }
 
 stage_asan() {

@@ -36,8 +36,8 @@ done
 case "${PRESS_CHECK:-}" in
 "" | 0 | off) ;;
 *)
-    # core::viaCheckDefault() reads this; exporting it turns the checker
-    # on in every test and benchmark without rebuilding.
+    # core::checkDefault("PRESS_CHECK") reads this; exporting it turns
+    # the checker on in every test and benchmark without rebuilding.
     export PRESS_CHECK
     echo "reproduce: VIA invariant checker enabled (PRESS_CHECK=$PRESS_CHECK)"
     ;;

@@ -1,13 +1,11 @@
 #include "tick_race.hpp"
 
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "obs/trace_event.hpp"
+#include "util/for_each_index.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::check {
 
@@ -20,62 +18,6 @@ sameEvent(const obs::TraceEvent &a, const obs::TraceEvent &b)
 {
     return a.tick == b.tick && a.arg == b.arg && a.req == b.req &&
            a.code == b.code && a.phase == b.phase && a.node == b.node;
-}
-
-/**
- * Run fn(0..n-1) across up to @p jobs threads, each index exactly once
- * (same shape as the bench harness's pool: shared claim counter, first
- * exception rethrown after all workers stop).
- */
-template <typename Fn>
-void
-forEachIndex(std::size_t n, int jobs, Fn &&fn)
-{
-    if (n == 0)
-        return;
-    if (jobs > static_cast<int>(n))
-        jobs = static_cast<int>(n);
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 } // namespace
@@ -122,7 +64,7 @@ std::uint64_t
 TickRaceHunter::seedForRun(std::uint64_t base, int k)
 {
     std::uint64_t seed =
-        mix64(base ^ (static_cast<std::uint64_t>(k) << 32));
+        util::mix64(base ^ (static_cast<std::uint64_t>(k) << 32));
     return seed ? seed : 0x9e3779b97f4a7c15ULL;
 }
 
@@ -140,7 +82,7 @@ TickRaceHunter::run()
     const std::size_t per = static_cast<std::size_t>(_opts.seeds) + 1;
     const std::size_t total = _scenarios.size() * per;
     std::vector<RunFingerprint> grid(total);
-    forEachIndex(total, _opts.jobs, [&](std::size_t i) {
+    util::forEachIndex(total, _opts.jobs, [&](std::size_t i) {
         const Entry &entry = _scenarios[i / per];
         const std::size_t k = i % per;
         if (k == 0)

@@ -142,7 +142,6 @@ struct MessageSizes {
     std::uint64_t caching = 59;
     std::uint64_t fileHeader = 32;  ///< header on a regular file message
     std::uint64_t fileMeta = 61;    ///< RMW file-metadata message (V3+)
-    std::uint64_t httpRequest = 300;///< client GET on the external net
     std::uint64_t httpReplyHeader = 250;
 
     /** [EST] TCP connection establishment on the external net: SYN,

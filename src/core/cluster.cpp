@@ -381,7 +381,7 @@ PressCluster::openShape(storage::FileId &file, std::uint64_t k)
             _sim.now() - _measureStart, k)];
     RequestOptions opts;
     opts.dynamic = _config.traffic.dynamicFraction > 0 &&
-                   traffic::unitFromHash(traffic::mix64(
+                   traffic::unitFromHash(util::mix64(
                        _config.seed ^ 0xC1A55F1EDull ^ (k + 1))) <
                        _config.traffic.dynamicFraction;
     return opts;
@@ -902,13 +902,13 @@ PressCluster::run(std::uint64_t max_requests)
                      "an open loop takes its offered rate from "
                      "traffic.curve, which is empty");
         double scale =
-            tm.session.enabled ? 1.0 / tm.session.meanRequests : 1.0;
+            tm.session.enabled ? 1.0 / traffic::SessionMeanRequests : 1.0;
         _arrivals = std::make_unique<traffic::ArrivalEngine>(
             tm.curve, _config.seed ^ 0x41525256414Cull, scale);
         _sessionModel.reset();
         if (tm.session.enabled)
             _sessionModel = std::make_unique<traffic::SessionModel>(
-                tm.session, _config.seed ^ 0x53455353ull);
+                _config.seed ^ 0x53455353ull);
         _population.reset();
         if (tm.population.active()) {
             _population = std::make_unique<traffic::PopulationModel>(
@@ -1014,6 +1014,15 @@ PressCluster::run(std::uint64_t max_requests)
         r.comm.stalls += tx.stalls;
     }
 
+    // Requests issued but never answered: closed-loop slots still in
+    // flight at drain, plus open-loop arrivals (never re-issued, since
+    // clientScanDead walks the closed-loop slots only). A healthy run
+    // strands none; under a fault plan they are the crash's losses.
+    for (const ClientSlot &slot : _clients)
+        if (slot.pendingNode >= 0)
+            ++r.requestsLost;
+    r.requestsLost += _inFlight;
+
     if (_faultEnabled) {
         for (auto &server : _servers) {
             const auto &s = server->stats();
@@ -1026,13 +1035,6 @@ PressCluster::run(std::uint64_t max_requests)
             r.droppedSends += comm->droppedSends();
             r.rxErrors += comm->rxErrors();
         }
-        for (const ClientSlot &slot : _clients)
-            if (slot.pendingNode >= 0)
-                ++r.requestsLost;
-        // Open-loop arrivals are never re-issued (clientScanDead walks
-        // the closed-loop slots only): one still unanswered at drain
-        // was lost to a crash.
-        r.requestsLost += _inFlight;
         r.clientRetries = _clientRetries;
         r.replyBuckets = _replyBuckets;
         // View convergence: the worst lag between a node going down and

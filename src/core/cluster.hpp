@@ -51,6 +51,10 @@ struct ClusterResults {
     std::uint64_t requestsMeasured = 0;
     double measuredSeconds = 0;
 
+    /** Requests issued but never answered when the run drained. Only a
+     *  fault plan may leave any: a healthy run strands none. */
+    std::uint64_t requestsLost = 0;
+
     CommStats comm; ///< aggregated sender-side traffic (Tables 2/4)
 
     /** Fractions of *busy* CPU time by osnode::CpuCategory. */
@@ -84,7 +88,6 @@ struct ClusterResults {
 
     std::uint64_t requestsRetried = 0;  ///< server-side retries
     std::uint64_t clientRetries = 0;    ///< client re-issues (dead node)
-    std::uint64_t requestsLost = 0;     ///< in flight, never answered
     std::uint64_t staleDrops = 0;       ///< stale deliveries dropped
     std::uint64_t membershipSends = 0;  ///< MembershipMsg rumors sent
     std::uint64_t reAnnouncedFiles = 0; ///< recovery caching announcements

@@ -48,23 +48,9 @@ viaCheckName(ViaCheck c)
 }
 
 ViaCheck
-viaCheckDefault()
+checkDefault(const char *name)
 {
-    const char *env = std::getenv("PRESS_CHECK");
-    if (!env)
-        return ViaCheck::Off;
-    std::string_view v(env);
-    if (v.empty() || v == "0" || v == "off")
-        return ViaCheck::Off;
-    if (v == "record" || v == "report")
-        return ViaCheck::Record;
-    return ViaCheck::Abort;
-}
-
-ViaCheck
-causalityDefault()
-{
-    const char *env = std::getenv("PRESS_CAUSALITY");
+    const char *env = std::getenv(name);
     if (!env)
         return ViaCheck::Off;
     std::string_view v(env);

@@ -85,20 +85,14 @@ enum class ViaCheck {
 const char *viaCheckName(ViaCheck c);
 
 /**
- * Default checking level from the PRESS_CHECK environment variable:
- * unset/"0"/"off" = Off, "record"/"report" = Record, anything else
- * (e.g. "1") = Abort. Lets scripts/check.sh run every existing test and
- * bench fully checked without touching their sources.
+ * Default checking level from the environment variable @p name
+ * (PRESS_CHECK for the VIA checker, PRESS_CAUSALITY for the causality
+ * checker): unset/"0"/"off" = Off, "record"/"report" = Record,
+ * anything else (e.g. "1") = Abort. Lets scripts/check.sh run every
+ * existing test and bench fully checked without touching their
+ * sources.
  */
-ViaCheck viaCheckDefault();
-
-/**
- * Default causality/lookahead checking level (check::CausalityChecker)
- * from the PRESS_CAUSALITY environment variable, with the same grammar
- * as PRESS_CHECK: unset/"0"/"off" = Off, "record"/"report" = Record,
- * anything else = Abort.
- */
-ViaCheck causalityDefault();
+ViaCheck checkDefault(const char *name);
 
 /**
  * Default tracing flag from the PRESS_TRACE environment variable:
@@ -120,18 +114,14 @@ struct Dissemination {
         Tree,      ///< static k-ary multicast tree per source
     };
     Kind kind = Kind::PiggyBack;
-    int threshold = 1;     ///< connections delta triggering an update
+    int threshold = 1;     ///< Broadcast: connections delta triggering
+                           ///< an update
     bool useRmw = false;   ///< broadcast loads with RMW instead of sends
 
     /** Gossip/Tree fanout k: peers sampled per gossip round, tree
-     *  arity. */
+     *  arity. Both kinds announce at most once per
+     *  DisseminationEngine::Interval. */
     int fanout = 4;
-
-    /** Gossip round period / minimum gap between tree load waves. The
-     *  coalescing this buys is where the O(N^2) -> O(N log N) win
-     *  comes from: L1 broadcasts on every load change, these kinds
-     *  announce at most once per interval. */
-    sim::Tick interval = 20 * util::MS;
 
     static Dissemination piggyBack() { return {Kind::PiggyBack, 1, false}; }
     static Dissemination
@@ -141,20 +131,14 @@ struct Dissemination {
     }
     static Dissemination none() { return {Kind::None, 1, false}; }
     static Dissemination
-    gossip(int fanout = 4, sim::Tick interval = 20 * util::MS)
+    gossip(int fanout = 4)
     {
-        Dissemination d{Kind::Gossip, 1, false};
-        d.fanout = fanout;
-        d.interval = interval;
-        return d;
+        return {Kind::Gossip, 1, false, fanout};
     }
     static Dissemination
-    tree(int fanout = 4, sim::Tick interval = 20 * util::MS)
+    tree(int fanout = 4)
     {
-        Dissemination d{Kind::Tree, 1, false};
-        d.fanout = fanout;
-        d.interval = interval;
-        return d;
+        return {Kind::Tree, 1, false, fanout};
     }
 
     std::string label() const;
@@ -176,6 +160,11 @@ enum class DirectoryMode {
 };
 
 const char *directoryModeName(DirectoryMode m);
+
+/** Requests for files at least this large are always served by the
+ *  initial node (Section 2.2, rule 1), so no intra-cluster transfer
+ *  is larger; ViaComm sizes its buffers by it. */
+inline constexpr std::uint64_t LargeFileCutoff = 512 * util::KB;
 
 /** Everything needed to instantiate a PRESS cluster. */
 struct PressConfig {
@@ -208,10 +197,6 @@ struct PressConfig {
     /** Overload threshold T on open connections (Section 2.2). */
     int overloadThreshold = 80;
 
-    /** Requests for files at least this large are always served by the
-     *  initial node (Section 2.2). */
-    std::uint64_t largeFileCutoff = 512 * util::KB;
-
     /**
      * Closed-loop client connections per server node. 88 puts node
      * loads just above the overload threshold T = 80, the regime whose
@@ -230,18 +215,20 @@ struct PressConfig {
     /**
      * Open-loop traffic (OpenLoop only): the offered-load curve, which
      * is the open loop's only rate knob and must not be empty, plus
-     * popularity drift, keep-alive sessions and the request-class mix.
-     * Every arrival-rate constant lives in src/traffic (lint-enforced);
-     * traffic::steadyScenario(R) is the classic constant-rate stream.
+     * the popularity model, keep-alive sessions and the request-class
+     * mix. Every arrival-rate constant lives in src/traffic
+     * (lint-enforced); traffic::steadyScenario(R) is the classic
+     * constant-rate stream.
      */
     traffic::TrafficModel traffic;
 
-    /** Flow-control window: receive buffers per channel per direction,
-     *  and the batch size for returning credits. */
-    int controlWindow = 8;
-    int controlCreditBatch = 4;
-    int fileWindow = 8;
-    int fileCreditBatch = 4;
+    /**
+     * VIA flow-control window: receive buffers (credits) per channel
+     * per direction, the same for the regular, forward, caching and
+     * file channels. ViaComm returns consumed credits in batches of
+     * max(1, flowWindow / 2), so a batch never exceeds its window.
+     */
+    int flowWindow = 8;
 
     /**
      * Cache warm-up, as a multiple of the measured request count: the
@@ -278,11 +265,11 @@ struct PressConfig {
      * wire latency — no cross-node causality faster than the network.
      * Defaults to the PRESS_CAUSALITY environment variable.
      */
-    ViaCheck causality = causalityDefault();
+    ViaCheck causality = checkDefault("PRESS_CAUSALITY");
 
     /** VIA invariant checking (Protocol::ViaClan only). Defaults to the
-     *  PRESS_CHECK environment variable; see viaCheckDefault(). */
-    ViaCheck viaCheck = viaCheckDefault();
+     *  PRESS_CHECK environment variable; see checkDefault(). */
+    ViaCheck viaCheck = checkDefault("PRESS_CHECK");
 
     /** Deterministic tracing & metrics (src/obs). Off costs nothing:
      *  no Tracer is created and every instrumentation site is a single

@@ -1,7 +1,7 @@
 #include "directories.hpp"
 
-#include "core/dissemination.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::core {
 
@@ -196,7 +196,7 @@ ShardedCacheDirectory::shardOf(storage::FileId file, int shards)
     // The same deterministic mix the gossip sampler uses: stable
     // across runs and platforms.
     return static_cast<int>(
-        DisseminationEngine::mix64(static_cast<std::uint64_t>(file)) %
+        util::mix64(static_cast<std::uint64_t>(file)) %
         static_cast<std::uint64_t>(shards));
 }
 

@@ -1,9 +1,9 @@
 #include "dissemination.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::core {
 
@@ -15,15 +15,6 @@ DisseminationEngine::DisseminationEngine(const Params &p) : _p(p)
     _loadMaxSeen.assign(static_cast<std::size_t>(p.nodes), 0);
     _cachingSeen.assign(static_cast<std::size_t>(p.nodes), SeqWindow{});
     _loadSlots.assign(static_cast<std::size_t>(p.nodes), {});
-}
-
-std::uint64_t
-DisseminationEngine::mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 void
@@ -38,6 +29,7 @@ DisseminationEngine::samplePeers(std::uint64_t seed, std::uint64_t round,
     // Hash chain on (seed, round, self): deterministic, stateless, and
     // different per node and per round. Rejection keeps peers distinct;
     // the chain cannot stall because want <= nodes - 1.
+    using util::mix64;
     std::uint64_t x =
         mix64(seed ^ mix64(round ^ mix64(static_cast<std::uint64_t>(
                                self + 0x51ed2701))));
@@ -99,9 +91,7 @@ DisseminationEngine::gossipTtl(int nodes, int fanout)
 bool
 DisseminationEngine::loadDirty(int current) const
 {
-    if (!_announcedOnce)
-        return true;
-    return std::abs(current - _lastAnnouncedLoad) >= _p.threshold;
+    return !_announcedOnce || current != _lastAnnouncedLoad;
 }
 
 LoadMsg

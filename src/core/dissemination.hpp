@@ -14,7 +14,7 @@
  * wire structs directly.
  *
  *  - **Gossip**: broadcast-worthy updates become rumors. Each round
- *    (every Dissemination::interval, scheduled lazily only while work
+ *    (every Interval, scheduled lazily only while work
  *    is pending) a node pushes every due rumor — own load first, then
  *    queued relays — to a fanout-k sample of peers, packed into at
  *    most one Load plus one Caching *digest* message per peer
@@ -49,7 +49,9 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "sim/time.hpp"
 #include "storage/file_set.hpp"
+#include "util/units.hpp"
 
 namespace press::core {
 
@@ -64,21 +66,22 @@ class DisseminationEngine
      *  rumors are pending. */
     static constexpr int GossipRepeats = 2;
 
+    /** Gossip round period and minimum gap between tree load waves.
+     *  The coalescing this buys is where the O(N^2) -> O(N log N) win
+     *  comes from: L1 broadcasts on every load change, these kinds
+     *  announce at most once per interval. */
+    static constexpr sim::Tick Interval = 20 * util::MS;
+
     struct Params {
         int nodes = 1;
         int self = 0;
         int fanout = 4;     ///< k: peers per gossip round / tree arity
-        int threshold = 1;  ///< load delta worth announcing
         std::uint64_t seed = 0;
     };
 
     explicit DisseminationEngine(const Params &p);
 
     // ---------------------------------------------------- static helpers
-
-    /** splitmix64: the deterministic mixing function behind peer
-     *  sampling (exposed for tests and the sharded directory hash). */
-    static std::uint64_t mix64(std::uint64_t x);
 
     /**
      * The fanout-k peer sample of @p self for @p round: k distinct
@@ -107,8 +110,8 @@ class DisseminationEngine
 
     // ------------------------------------------------------- origin side
 
-    /** True when @p current moved at least `threshold` away from the
-     *  last value this node announced. */
+    /** True when @p current differs from the last value this node
+     *  announced (or it has announced nothing yet). */
     bool loadDirty(int current) const;
 
     /** Stamp a fresh own-load rumor (bumps the load seq, records

@@ -66,7 +66,6 @@ PressServer::PressServer(sim::Simulator &sim, const PressConfig &config,
         p.nodes = config.nodes;
         p.self = id;
         p.fanout = d.fanout;
-        p.threshold = d.threshold;
         p.seed = config.seed; // cluster-wide; samples mix in (round, self)
         _dissem = std::make_unique<DisseminationEngine>(p);
         _treeScratch.reserve(static_cast<std::size_t>(d.fanout));
@@ -162,7 +161,7 @@ PressServer::dispatch(FileId file, std::uint32_t tag)
     }
 
     // Rule 1: large files are always serviced by the initial node.
-    if (size >= _config.largeFileCutoff) {
+    if (size >= LargeFileCutoff) {
         ++_stats.largeFileServes;
         decided(obs::DispatchDecision::LargeFile);
         serveLocal(file, tag);
@@ -338,7 +337,7 @@ PressServer::serveLocal(FileId file, std::uint32_t tag)
         // Disk helper thread hands the buffer back to the main thread.
         _node.cpu().submit(_cal.service.cacheOp, CatService,
                            [this, file, tag, size]() {
-                               if (size < _config.largeFileCutoff)
+                               if (size < LargeFileCutoff)
                                    insertIntoCache(file);
                                reply(tag, size, /*buffer_owner=*/-1);
                            });
@@ -751,8 +750,8 @@ PressServer::scheduleGossipRound()
     // order would decide trace/credit interleaving). The jitter is a
     // pure function of (seed, self, next round) — no RNG state — so
     // runs stay bit-identical.
-    sim::Tick base = _config.dissemination.interval;
-    std::uint64_t h = DisseminationEngine::mix64(
+    sim::Tick base = DisseminationEngine::Interval;
+    std::uint64_t h = util::mix64(
         _config.seed ^ (static_cast<std::uint64_t>(_id) << 40) ^
         (_dissem->round() + 1));
     sim::Tick jitter = static_cast<sim::Tick>(h % (base / 4 + 1));
@@ -832,7 +831,7 @@ void
 PressServer::emitLoadWave(int current)
 {
     ++_stats.loadWaves;
-    _nextWaveAt = _sim.now() + _config.dissemination.interval;
+    _nextWaveAt = _sim.now() + DisseminationEngine::Interval;
     relayTree(_dissem->makeOwnLoad(current, /*hops=*/0));
 }
 

@@ -281,7 +281,8 @@ class PressServer
      *  k-ary tree rooted at its origin. */
     template <typename Msg>
     void relayTree(Msg msg);
-    /** Arm a gossip round `interval` from now (idempotent). */
+    /** Arm a gossip round DisseminationEngine::Interval (plus a
+     *  per-node jitter) from now (idempotent). */
     void scheduleGossipRound();
     void runGossipRound();
     /** Tree: start a load wave now if dirty and the per-origin rate

@@ -61,10 +61,10 @@ struct ViaComm::Peer {
     std::unique_ptr<CreditReturner> cachingReturn;
     std::unique_ptr<CreditReturner> fileReturn;
 
-    Peer(int id_, int control_window, int file_window)
+    Peer(int id_, int window)
         : id(id_),
-          gates{CreditGate(control_window), CreditGate(control_window),
-                CreditGate(control_window), CreditGate(file_window)}
+          gates{CreditGate(window), CreditGate(window), CreditGate(window),
+                CreditGate(window)}
     {
     }
 
@@ -85,7 +85,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
       _cal(_config.calibration),
       _cpu(cpu),
       _nic(std::make_unique<via::ViaNic>(sim, fabric, node)),
-      _maxTransfer(config.largeFileCutoff)
+      _maxTransfer(LargeFileCutoff)
 {
     // A receive thread exists whenever some message type still travels
     // as a regular two-sided send (Section 3.4: "this version does not
@@ -110,7 +110,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     std::size_t recv_capacity = 0;
     if (_recvThreadNeeded && nodes > 1)
         recv_capacity = static_cast<std::size_t>(nodes - 1) *
-                        (_config.controlWindow + FlowReserve);
+                        (_config.flowWindow + FlowReserve);
     _recvCq = std::make_unique<via::CompletionQueue>(sim, recv_capacity);
     _sendCq = std::make_unique<via::CompletionQueue>(sim);
 
@@ -126,12 +126,15 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         checker->attachCq(*_recvCq, _node);
         checker->attachCq(*_sendCq, _node);
     }
+    const int window = _config.flowWindow;
+    // Credits go back half a window at a time: a batch that outgrew
+    // its window would never fill, and the sender would stall for good.
+    const int batch = std::max(1, window / 2);
     _peers.resize(nodes);
     for (int j = 0; j < nodes; ++j) {
         if (j == _node)
             continue;
-        auto peer = std::make_unique<Peer>(j, _config.controlWindow,
-                                           _config.fileWindow);
+        auto peer = std::make_unique<Peer>(j, window);
         Peer *p = peer.get();
         int from = j;
 
@@ -145,19 +148,19 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
 
         // Receive-side regions, with write hooks feeding the poll paths.
         p->forwardRing = _nic->registerMemory(
-            _config.controlWindow * SlotBytes,
+            window * SlotBytes,
             [this, from](std::uint64_t, std::uint64_t,
                          const via::Payload &pl, std::uint32_t) {
                 consumeRmwControl(from, pl);
             });
         p->cachingRing = _nic->registerMemory(
-            _config.controlWindow * SlotBytes,
+            window * SlotBytes,
             [this, from](std::uint64_t, std::uint64_t,
                          const via::Payload &pl, std::uint32_t) {
                 consumeRmwControl(from, pl);
             });
         p->fileMetaRing = _nic->registerMemory(
-            _config.fileWindow * SlotBytes,
+            window * SlotBytes,
             [this, from](std::uint64_t, std::uint64_t,
                          const via::Payload &pl, std::uint32_t) {
                 consumeRmwFile(from, pl);
@@ -166,7 +169,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         // consumption (it is posted after the data on the same VI, so
         // VIA's in-order delivery guarantees the data is already there).
         p->fileDataRing = _nic->registerMemory(
-            std::max<std::uint64_t>(_config.fileWindow * _maxTransfer, 1));
+            std::max<std::uint64_t>(window * _maxTransfer, 1));
         p->flowWords = _nic->registerMemory(
             static_cast<int>(FlowChannel::NumChannels) * 8,
             [this, from](std::uint64_t, std::uint64_t,
@@ -191,34 +194,28 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
                             });
             });
         p->recvBufs = _nic->registerMemory(
-            (_config.controlWindow + FlowReserve) * (_maxTransfer + 64));
+            (window + FlowReserve) * (_maxTransfer + 64));
         p->staging = _nic->registerMemory(
-            std::max<std::uint64_t>(
-                (_config.controlWindow + _config.fileWindow) *
-                    _maxTransfer,
-                1));
+            std::max<std::uint64_t>(2 * window * _maxTransfer, 1));
 
         // Credit returners toward this peer.
         p->regularReturn = std::make_unique<CreditReturner>(
-            _config.controlCreditBatch, [this, from](int n) {
+            batch, [this, from](int n) {
                 send(from, FlowMsg{n, FlowChannel::Regular});
             });
         p->forwardReturn = std::make_unique<CreditReturner>(
-            _config.controlCreditBatch, [this, from](int n) {
+            batch, [this, from](int n) {
                 send(from, FlowMsg{n, FlowChannel::Forward});
             });
         p->cachingReturn = std::make_unique<CreditReturner>(
-            _config.controlCreditBatch, [this, from](int n) {
+            batch, [this, from](int n) {
                 send(from, FlowMsg{n, FlowChannel::Caching});
             });
         // RMW file-ring slots are acknowledged one by one (the slot
         // word is the acknowledgement), matching Table 4's near-1:1
         // Flow:File ratio in V3-V5; the regular path batches.
-        int file_batch = usesRmw(MsgKind::File)
-                             ? 1
-                             : _config.fileCreditBatch;
         p->fileReturn = std::make_unique<CreditReturner>(
-            file_batch, [this, from](int n) {
+            usesRmw(MsgKind::File) ? 1 : batch, [this, from](int n) {
                 send(from, FlowMsg{n, FlowChannel::File});
             });
 
@@ -261,7 +258,7 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms)
             // Pre-post receive descriptors for regular traffic.
             int prepost = 0;
             if (comms[i]->_recvThreadNeeded)
-                prepost = comms[i]->_config.controlWindow + FlowReserve;
+                prepost = comms[i]->_config.flowWindow + FlowReserve;
             for (int k = 0; k < prepost; ++k) {
                 va->postRecv(via::makeRecv(a._peers[j]->recvBufs.base,
                                            a._maxTransfer + 64));
@@ -374,7 +371,7 @@ ViaComm::send(int dst, WireBody body)
             _cal.sizes.fileMeta + (w.piggyLoad >= 0 ? PiggyBackBytes : 0);
         recordSend(kind, data);
         recordSend(kind, meta);
-        std::uint64_t slot = peer.fileSeq++ % _config.fileWindow;
+        std::uint64_t slot = peer.fileSeq++ % _config.flowWindow;
         bool zero_copy_tx = _config.version == Version::V5;
         post(peer, FlowChannel::File,
              2 * _cal.via.rmwSend + (zero_copy_tx ? 0 : copyCost(data)),
@@ -394,7 +391,7 @@ ViaComm::send(int dst, WireBody body)
         bool fwd = kind == MsgKind::Forward;
         std::uint64_t &seq = fwd ? peer.forwardSeq : peer.cachingSeq;
         Address ring = fwd ? peer.rForwardRing : peer.rCachingRing;
-        Address slot = ring + (seq++ % _config.controlWindow) * SlotBytes;
+        Address slot = ring + (seq++ % _config.flowWindow) * SlotBytes;
         post(peer, fwd ? FlowChannel::Forward : FlowChannel::Caching,
              _cal.via.rmwSend + copyCost(bytes),
              Post{slot, bytes}, std::move(w));
@@ -647,7 +644,7 @@ ViaComm::repostRecvs(Peer &peer)
 {
     if (!_recvThreadNeeded)
         return;
-    int prepost = _config.controlWindow + FlowReserve;
+    int prepost = _config.flowWindow + FlowReserve;
     for (int k = 0; k < prepost; ++k) {
         bool ok = peer.vi->postRecv(
             via::makeRecv(peer.recvBufs.base, _maxTransfer + 64));

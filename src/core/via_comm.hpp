@@ -60,7 +60,7 @@ class ViaComm : public ClusterComm
     /**
      * @param sim      simulator
      * @param node     this node's id (== its internal-fabric port)
-     * @param config   cluster configuration (version, windows, ...)
+     * @param config   cluster configuration (version, flow window, ...)
      * @param cpu      node CPU for charging comm work
      * @param fabric   the internal network (cLAN)
      * @param checker  cluster-wide invariant checker to attach to this

@@ -205,8 +205,6 @@ FaultPlan::validate(int nodes) const
             break;
         }
     }
-    if (suspectDelay <= 0 || confirmDelay <= 0 || drainDelay <= 0)
-        throw PlanError("fault plan: detector delays must be positive");
 }
 
 std::string

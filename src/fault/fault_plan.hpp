@@ -91,15 +91,15 @@ struct FaultEvent {
 /**
  * Capped exponential backoff for request retry after a peer death:
  * attempt k (0-based) waits min(cap, base << k). Pure integer math —
- * the schedule is a deterministic function of the policy alone.
+ * the schedule is a deterministic function of the attempt alone.
  */
 struct RetryPolicy {
-    sim::Tick base = 500 * util::US;
-    sim::Tick cap = 8 * util::MS;
-    int maxAttempts = 5;
+    static constexpr sim::Tick base = 500 * util::US;
+    static constexpr sim::Tick cap = 8 * util::MS;
+    static constexpr int maxAttempts = 5;
 
-    sim::Tick
-    delayFor(int attempt) const
+    static constexpr sim::Tick
+    delayFor(int attempt)
     {
         if (attempt < 0)
             attempt = 0;
@@ -110,7 +110,8 @@ struct RetryPolicy {
     }
 };
 
-/** The full fault schedule plus the failure-detector timing model. */
+/** The full fault schedule, plus the failure-detector timing model as
+ *  constants. */
 class FaultPlan
 {
   public:
@@ -153,26 +154,29 @@ class FaultPlan
     /** Peer silence before a survivor marks a node Suspected and tears
      *  down its endpoint toward it. Must exceed the fabric wire
      *  latency; this is the deterministic failure-detector timeout. */
-    sim::Tick suspectDelay = 200 * util::US;
+    static constexpr sim::Tick suspectDelay = 200 * util::US;
 
     /** Further silence before Suspected hardens to Dead and recovery
      *  (directory repair, pending-request retry) runs. A membership
      *  rumor carrying Dead news can confirm earlier. */
-    sim::Tick confirmDelay = 800 * util::US;
+    static constexpr sim::Tick confirmDelay = 800 * util::US;
 
     /** Grace period a leaving node keeps serving between its Left
      *  announcement and actually going down. */
-    sim::Tick drainDelay = 200 * util::US;
+    static constexpr sim::Tick drainDelay = 200 * util::US;
+
+    static_assert(suspectDelay > 0 && confirmDelay > 0 && drainDelay > 0,
+                  "fault detector delays must be positive");
 
     /** Cap on caching re-announcements one node sends per membership
      *  change (directory re-replication / shard handoff). */
-    int announceCap = 512;
+    static constexpr int announceCap = 512;
 
     /** Minimum down time before a restart/join may revive the node. */
     static constexpr sim::Tick minReviveGap = 1 * util::MS;
 
     /** Backoff for retrying requests stranded by a peer death. */
-    RetryPolicy retry;
+    static constexpr RetryPolicy retry{};
 
   private:
     FaultPlan &add(FaultKind kind, int node, sim::Tick at);

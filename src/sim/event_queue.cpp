@@ -3,22 +3,13 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace press::sim {
 
 namespace {
 constexpr std::size_t Arity = 4;
 constexpr std::size_t InitialCapacity = 256;
-
-/** splitmix64 finalizer: a full-avalanche 64-bit mix. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 } // namespace
 
 EventQueue::EventQueue()
@@ -46,11 +37,10 @@ EventQueue::orderKey(Tick when, Domain domain) const
     // per-(seed, tick) pseudo-random order. A 24-bit hash collision
     // between two domains merely interleaves those two domains FIFO at
     // that one tick — a missed permutation, never an invalid order.
-    std::uint64_t h =
-        mix64(_seed ^ mix64(static_cast<std::uint64_t>(when)) ^
-              (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                   domain)) *
-               0x9e3779b97f4a7c15ULL));
+    std::uint64_t h = util::mix64(
+        _seed ^ util::mix64(static_cast<std::uint64_t>(when)) ^
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(domain)) *
+         0x9e3779b97f4a7c15ULL));
     return ((h >> SeqBits) << SeqBits) | (_seq & SeqMask);
 }
 

@@ -12,12 +12,7 @@ FileCache::FileCache(std::uint64_t capacity) : _capacity(capacity)
 bool
 FileCache::contains(FileId file) const
 {
-    bool hit = _index.find(file) != _index.end();
-    if (hit)
-        ++_hits;
-    else
-        ++_misses;
-    return hit;
+    return _index.find(file) != _index.end();
 }
 
 void

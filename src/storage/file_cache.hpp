@@ -55,10 +55,6 @@ class FileCache
     std::uint64_t capacity() const { return _capacity; }
     std::size_t files() const { return _index.size(); }
 
-    /** Hit/miss counters (contains() updates them). */
-    std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
-
     /** Least-recently-used resident file; InvalidFile when empty. */
     FileId lruFile() const;
 
@@ -86,8 +82,6 @@ class FileCache
     std::uint64_t _used = 0;
     LruList _lru; ///< front = most recent
     std::unordered_map<FileId, LruList::iterator> _index;
-    mutable std::uint64_t _hits = 0;
-    mutable std::uint64_t _misses = 0;
 };
 
 } // namespace press::storage

@@ -9,11 +9,6 @@ namespace press::traffic {
 
 namespace {
 
-// Drift is quantized into this many precomputed samplers; a finer
-// ladder buys nothing once the step is smaller than the statistical
-// noise of a run.
-constexpr std::size_t LadderSteps = 9;
-
 // Stream separators so the file draw, the hot-set coin, and the
 // arrival clock never share a counter.
 constexpr std::uint64_t FileStream = 0xA24BAED4963EE407ull;
@@ -23,7 +18,7 @@ constexpr std::uint64_t HotStream = 0x9FB21C651E98DF25ull;
 
 PopulationModel::PopulationModel(const PopulationSpec &spec,
                                  std::size_t files, std::uint64_t seed)
-    : _spec(spec), _files(files), _seed(seed)
+    : _spec(spec), _files(files), _seed(seed), _zipf(files, PopulationAlpha)
 {
     PRESS_ASSERT(spec.active(), "population model built without Zipf mode");
     PRESS_ASSERT(files >= 1, "population model needs at least one file");
@@ -31,30 +26,6 @@ PopulationModel::PopulationModel(const PopulationSpec &spec,
                      spec.hotFraction <= 1.0 && spec.hotOffset >= 0 &&
                      spec.hotOffset < 1.0,
                  "hot-set knobs out of range");
-    std::size_t steps =
-        (_spec.driftOver > 0 && _spec.alphaStart != _spec.alphaEnd)
-            ? LadderSteps
-            : 1;
-    _ladder.reserve(steps);
-    for (std::size_t i = 0; i < steps; ++i) {
-        double frac = steps == 1
-                          ? 0.0
-                          : static_cast<double>(i) /
-                                static_cast<double>(steps - 1);
-        _ladder.emplace_back(files, _spec.alphaStart +
-                                        (_spec.alphaEnd - _spec.alphaStart) *
-                                            frac);
-    }
-}
-
-double
-PopulationModel::alphaAt(sim::Tick t) const
-{
-    if (_spec.driftOver <= 0 || t <= 0)
-        return _spec.alphaStart;
-    double frac = std::min(1.0, static_cast<double>(t) /
-                                    static_cast<double>(_spec.driftOver));
-    return _spec.alphaStart + (_spec.alphaEnd - _spec.alphaStart) * frac;
 }
 
 std::size_t
@@ -75,15 +46,7 @@ PopulationModel::sampleRank(sim::Tick t, std::uint64_t k) const
             return (offset + draw % window) % _files;
         }
     }
-    std::size_t step = 0;
-    if (_ladder.size() > 1) {
-        double frac = std::min(
-            1.0, std::max(0.0, static_cast<double>(t) /
-                                   static_cast<double>(_spec.driftOver)));
-        step = static_cast<std::size_t>(
-            frac * static_cast<double>(_ladder.size() - 1) + 0.5);
-    }
-    return _ladder[step].sampleAt(unitFromHash(draw));
+    return _zipf.sampleAt(unitFromHash(draw));
 }
 
 } // namespace press::traffic

@@ -3,14 +3,12 @@
  * Time-varying file popularity for the open-loop traffic engine.
  *
  * The paper's traces fix a static popularity ranking for the whole
- * run. Production load shifts: the working set's Zipf exponent drifts
- * as the audience changes, and a flash crowd concentrates most of the
- * offered load on a handful of files. PopulationModel layers both on
- * top of the cluster's trace-derived popularity ranking:
+ * run. Under a flash crowd most of the offered load concentrates on a
+ * handful of files. PopulationModel redraws files on top of the
+ * cluster's trace-derived popularity ranking:
  *
- *  - alpha drift: the Zipf exponent moves linearly from alphaStart to
- *    alphaEnd over driftOver ticks (quantized into a small ladder of
- *    precomputed samplers so a draw is one binary search);
+ *  - Zipf: a draw picks a rank from Zipf(PopulationAlpha), one binary
+ *    search over a precomputed CDF;
  *  - hot set: inside [hotStart, hotEnd) a draw lands uniformly in a
  *    window of hotCount ranks with probability hotFraction; the window
  *    starts hotOffset of the way down the ranking (a crowd chasing
@@ -28,24 +26,23 @@
 #define PRESS_TRAFFIC_POPULATION_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.hpp"
 #include "util/random.hpp"
 
 namespace press::traffic {
 
+/** Zipf exponent of the redrawn popularity (the paper's alpha < 1). */
+inline constexpr double PopulationAlpha = 0.8;
+
 /** Knobs for the time-varying popularity model. */
 struct PopulationSpec {
     enum class Mode : std::uint8_t {
         Trace, ///< replay the trace's own file sequence (paper default)
-        Zipf,  ///< redraw files from the drifting Zipf over trace ranks
+        Zipf,  ///< redraw files from Zipf(PopulationAlpha) over ranks
     };
 
     Mode mode = Mode::Trace;
-    double alphaStart = 0.8;  ///< Zipf exponent at measurement start
-    double alphaEnd = 0.8;    ///< exponent after driftOver ticks
-    sim::Tick driftOver = 0;  ///< drift horizon; 0 = constant alpha
     int hotCount = 0;         ///< hot-set size in ranks; 0 = no hot set
     double hotFraction = 0;   ///< probability a draw lands in the hot set
     sim::Tick hotStart = 0;   ///< hot window open (relative tick)
@@ -76,14 +73,11 @@ class PopulationModel
      */
     std::size_t sampleRank(sim::Tick t, std::uint64_t k) const;
 
-    /** Effective Zipf exponent at relative tick @p t (pre-quantization). */
-    double alphaAt(sim::Tick t) const;
-
   private:
     PopulationSpec _spec;
     std::size_t _files;
     std::uint64_t _seed;
-    std::vector<util::ZipfSampler> _ladder; ///< quantized drift steps
+    util::ZipfSampler _zipf;
 };
 
 } // namespace press::traffic

@@ -48,19 +48,13 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/random.hpp"
 
 namespace press::traffic {
 
-/** SplitMix64 finalizer: the counter-based mixing function behind every
- *  traffic draw (arrival gaps, popularity picks, session lengths). */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
+/** The counter-based mixing function behind every traffic draw
+ *  (arrival gaps, popularity picks, session lengths). */
+using util::mix64;
 
 /** Map a mixed word to a uniform in [0, 1) (53 mantissa bits). */
 constexpr double
@@ -154,8 +148,9 @@ class ArrivalEngine
      * @param curve      offered-load schedule (must be non-empty)
      * @param seed       stream seed (mixed per arrival counter)
      * @param rateScale  scales the whole curve; the session model uses
-     *                   1/meanRequests so the *request* rate matches
-     *                   the curve while arrivals are whole sessions
+     *                   1/SessionMeanRequests so the *request* rate
+     *                   matches the curve while arrivals are whole
+     *                   sessions
      */
     ArrivalEngine(RateCurve curve, std::uint64_t seed,
                   double rateScale = 1.0);

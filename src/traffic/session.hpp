@@ -12,7 +12,7 @@
  *
  * The cost asymmetry the model exposes: requests after the first skip
  * Calibration::service.connSetup on the server CPU and the TCP
- * handshake bytes on the external wire (see PressCluster::openIssue
+ * handshake bytes on the external wire (see PressCluster::issueRequest
  * and PressServer::handleClientRequest).
  */
 
@@ -26,36 +26,37 @@
 
 namespace press::traffic {
 
-/** Knobs for keep-alive session shaping. */
+/** Mean requests per keep-alive session (geometric lengths). The
+ *  arrival curve always describes the *request* rate: with sessions
+ *  on, session arrivals are thinned by 1/SessionMeanRequests so the
+ *  offered request rate still matches the curve. */
+inline constexpr double SessionMeanRequests = 8.0;
+
+/** Clamp on one session's length. */
+inline constexpr std::uint32_t SessionMaxRequests = 128;
+
+/** Mean of the exponential think gap between a session's requests. */
+inline constexpr sim::Tick SessionThinkMean = 2 * util::MS;
+
+/** Keep-alive session shaping; disabled = one connection per request. */
 struct SessionSpec {
     bool enabled = false;
-    double meanRequests = 8.0;        ///< geometric mean requests/connection
-    std::uint32_t maxRequests = 128;  ///< clamp on one session's length
-    sim::Tick thinkMean = 2 * util::MS; ///< exponential gap between requests
-
-    // The arrival curve always describes the *request* rate; when
-    // sessions are on, session arrivals are thinned by 1/meanRequests
-    // so the offered request rate still matches the curve.
 };
 
 /** Counter-based per-session draws. */
 class SessionModel
 {
   public:
-    SessionModel(const SessionSpec &spec, std::uint64_t seed);
+    explicit SessionModel(std::uint64_t seed);
 
-    /** Requests in session @p session, in [1, maxRequests]. */
+    /** Requests in session @p session, in [1, SessionMaxRequests]. */
     std::uint32_t length(std::uint64_t session) const;
 
     /** Think gap before request @p index (1-based) of @p session. */
     sim::Tick thinkGap(std::uint64_t session, std::uint32_t index) const;
 
-    const SessionSpec &spec() const { return _spec; }
-
   private:
-    SessionSpec _spec;
     std::uint64_t _seed;
-    double _logq; ///< log(1 - 1/meanRequests); 0 when mean <= 1
 };
 
 } // namespace press::traffic

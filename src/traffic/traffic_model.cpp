@@ -23,9 +23,6 @@ constexpr double FlashHotFraction = 0.85; // ...for 85% of spike draws
 constexpr double FlashHotOffset = 0.75;   // ...deep in the cold tail
 constexpr sim::Tick FlashHotRotate = 150 * util::MS; // chasing fresh pages
 
-constexpr double SessionMeanRequests = 8.0;
-constexpr sim::Tick SessionThinkMean = 2 * util::MS;
-
 constexpr double DynamicShare = 0.25;     // 1 in 4 requests is generated
 
 } // namespace
@@ -61,8 +58,6 @@ flashScenario(double rate)
     // pivot. A window over the already-replicated top ranks would be
     // absorbed without ever crossing it.
     m.population.mode = PopulationSpec::Mode::Zipf;
-    m.population.alphaStart = 0.8;
-    m.population.alphaEnd = 0.8;
     m.population.hotCount = FlashHotFiles;
     m.population.hotFraction = FlashHotFraction;
     m.population.hotStart = FlashAt;
@@ -78,8 +73,6 @@ keepAliveScenario(double rate)
     TrafficModel m;
     m.curve = RateCurve::constant(rate);
     m.session.enabled = true;
-    m.session.meanRequests = SessionMeanRequests;
-    m.session.thinkMean = SessionThinkMean;
     return m;
 }
 

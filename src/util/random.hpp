@@ -18,6 +18,21 @@
 namespace press::util {
 
 /**
+ * SplitMix64 finalizer: a full-avalanche 64-bit mix. The one
+ * deterministic hash behind every counter-based draw (traffic
+ * arrivals, gossip peer samples, shard placement, the event kernel's
+ * seeded tie-break) and Rng's seeding.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
+/**
  * xoshiro256++ pseudo-random generator with distribution samplers.
  *
  * All samplers consume a deterministic number of engine outputs per call

@@ -56,12 +56,7 @@ randomConfig(util::Rng &rng)
         c.distribution = Distribution::LocalOnly;
     else if (rng.uniform() < 0.2)
         c.distribution = Distribution::FrontEndLard;
-    c.controlWindow = 1 + static_cast<int>(rng.uniformInt(12));
-    c.fileWindow = 1 + static_cast<int>(rng.uniformInt(12));
-    c.controlCreditBatch =
-        1 + static_cast<int>(rng.uniformInt(c.controlWindow));
-    c.fileCreditBatch =
-        1 + static_cast<int>(rng.uniformInt(c.fileWindow));
+    c.flowWindow = 1 + static_cast<int>(rng.uniformInt(12));
     c.cacheBytes = (1 + rng.uniformInt(24)) * util::MB;
     c.clientsPerNode = 8 + static_cast<int>(rng.uniformInt(80));
     c.overloadThreshold = 10 + static_cast<int>(rng.uniformInt(100));
@@ -96,8 +91,7 @@ TEST_P(FuzzSweep, InvariantsHoldForRandomConfigs)
     PressConfig config = randomConfig(rng);
     SCOPED_TRACE(config.label() + " nodes=" +
                  std::to_string(config.nodes) + " win=" +
-                 std::to_string(config.controlWindow) + "/" +
-                 std::to_string(config.fileWindow));
+                 std::to_string(config.flowWindow));
 
     PressCluster cluster(config, trace);
     auto r = cluster.run();
@@ -120,6 +114,8 @@ TEST_P(FuzzSweep, InvariantsHoldForRandomConfigs)
                       config.nodes);
     }
     EXPECT_TRUE(cluster.simulator().idle());
+    // Nothing stranded, warm-up or not: no fault plan is drawn.
+    EXPECT_EQ(r.requestsLost, 0u);
 
     // 2. The HTTP pipeline never rejected a generated request.
     EXPECT_EQ(cluster.badRequests(), 0u);

@@ -124,8 +124,8 @@ TEST(FaultPlan, TimelineAssignsGlobalEpochsInTickOrder)
 TEST(FaultPlan, RetryPolicyDoublesUpToTheCap)
 {
     fault::RetryPolicy p;
-    p.base = 500 * util::US;
-    p.cap = 8 * util::MS;
+    ASSERT_EQ(p.base, 500 * util::US);
+    ASSERT_EQ(p.cap, 8 * util::MS);
     EXPECT_EQ(p.delayFor(0), 500 * util::US);
     EXPECT_EQ(p.delayFor(1), 1 * util::MS);
     EXPECT_EQ(p.delayFor(2), 2 * util::MS);

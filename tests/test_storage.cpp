@@ -110,17 +110,6 @@ TEST(FileCache, LruFileReported)
     EXPECT_EQ(c.lruFile(), 2u);
 }
 
-TEST(FileCache, HitMissCounters)
-{
-    FileCache c(1000);
-    c.insert(1, 100);
-    c.contains(1);
-    c.contains(2);
-    c.contains(1);
-    EXPECT_EQ(c.hits(), 2u);
-    EXPECT_EQ(c.misses(), 1u);
-}
-
 /** Property sweep: capacity is never exceeded and accounting stays
  *  consistent under random workloads of varying cache sizes. */
 class CacheProperty : public ::testing::TestWithParam<std::uint64_t>

@@ -194,7 +194,7 @@ TEST(ArrivalEngine, SameSeedSameStreamDifferentSeedDiffers)
 
 TEST(ArrivalEngine, RateScaleThinsArrivals)
 {
-    // Scale 1/8 (the session model's thinning at meanRequests = 8):
+    // Scale 1/8 (the session model's thinning at SessionMeanRequests = 8):
     // one-eighth the arrivals over the same horizon.
     ArrivalEngine full(RateCurve::constant(4000), 5, 1.0);
     ArrivalEngine thin(RateCurve::constant(4000), 5, 1.0 / 8.0);
@@ -213,7 +213,6 @@ TEST(PopulationModel, HotWindowConcentratesDraws)
 {
     PopulationSpec spec;
     spec.mode = PopulationSpec::Mode::Zipf;
-    spec.alphaStart = spec.alphaEnd = 0.8;
     spec.hotCount = 8;
     spec.hotFraction = 0.85;
     spec.hotStart = util::SEC;
@@ -234,48 +233,22 @@ TEST(PopulationModel, HotWindowConcentratesDraws)
     EXPECT_LT(hot_share(2 * util::SEC), 0.5);
 }
 
-TEST(PopulationModel, AlphaDriftSkewsTheDistribution)
-{
-    PopulationSpec spec;
-    spec.mode = PopulationSpec::Mode::Zipf;
-    spec.alphaStart = 0.4;
-    spec.alphaEnd = 1.2;
-    spec.driftOver = 10 * util::SEC;
-    PopulationModel model(spec, 1000, 7);
-    EXPECT_NEAR(model.alphaAt(0), 0.4, 1e-9);
-    EXPECT_NEAR(model.alphaAt(5 * util::SEC), 0.8, 1e-9);
-    EXPECT_NEAR(model.alphaAt(20 * util::SEC), 1.2, 1e-9);
-
-    auto top_share = [&](sim::Tick t) {
-        int top = 0;
-        for (std::uint64_t k = 0; k < 4000; ++k)
-            if (model.sampleRank(t, k) < 50)
-                ++top;
-        return top / 4000.0;
-    };
-    // Higher alpha -> more mass on the head.
-    EXPECT_GT(top_share(10 * util::SEC), top_share(0) + 0.1);
-}
-
 // ---- sessions -------------------------------------------------------
 
 TEST(SessionModel, LengthsAreGeometricWithTheRequestedMean)
 {
-    SessionSpec spec;
-    spec.enabled = true;
-    spec.meanRequests = 8.0;
-    SessionModel model(spec, 21);
+    SessionModel model(21);
     double sum = 0;
     std::uint32_t lo = 1000, hi = 0;
     for (std::uint64_t s = 0; s < 20000; ++s) {
         std::uint32_t len = model.length(s);
         ASSERT_GE(len, 1u);
-        ASSERT_LE(len, spec.maxRequests);
+        ASSERT_LE(len, SessionMaxRequests);
         sum += len;
         lo = std::min(lo, len);
         hi = std::max(hi, len);
     }
-    EXPECT_NEAR(sum / 20000.0, 8.0, 0.3);
+    EXPECT_NEAR(sum / 20000.0, SessionMeanRequests, 0.3);
     EXPECT_EQ(lo, 1u); // geometric mass at 1
     EXPECT_GT(hi, 20u);
 
@@ -285,15 +258,12 @@ TEST(SessionModel, LengthsAreGeometricWithTheRequestedMean)
 
 TEST(SessionModel, ThinkGapsAreExponential)
 {
-    SessionSpec spec;
-    spec.enabled = true;
-    spec.thinkMean = 2 * util::MS;
-    SessionModel model(spec, 3);
+    SessionModel model(3);
     double sum = 0;
     for (std::uint64_t s = 0; s < 10000; ++s)
         sum += static_cast<double>(model.thinkGap(s, 1));
-    EXPECT_NEAR(sum / 10000.0, static_cast<double>(2 * util::MS),
-                0.05 * static_cast<double>(2 * util::MS));
+    EXPECT_NEAR(sum / 10000.0, static_cast<double>(SessionThinkMean),
+                0.05 * static_cast<double>(SessionThinkMean));
 }
 
 // ---- scenarios ------------------------------------------------------
