@@ -65,8 +65,8 @@ viaMicro(benchmark::State &state, std::uint64_t bytes, bool bandwidth,
         sim::Simulator sim;
         net::Fabric fabric(sim, net::FabricConfig::clan(), 2);
         via::ViaNic na(sim, fabric, 0), nb(sim, fabric, 1);
-        auto *va = na.createVi(via::Reliability::ReliableDelivery);
-        auto *vb = nb.createVi(via::Reliability::ReliableDelivery);
+        auto *va = na.createVi();
+        auto *vb = nb.createVi();
         via::ViaNic::connect(*va, *vb);
         auto src = na.registerMemory(1 << 20);
         auto dst = nb.registerMemory(1 << 20);

@@ -159,10 +159,8 @@ main(int argc, char **argv)
     // Wire the mesh: VIs + one ring slot per (receiver, sender).
     for (int i = 0; i < Nodes; ++i) {
         for (int j = i + 1; j < Nodes; ++j) {
-            auto *vi = nodes[i]->nic.createVi(
-                via::Reliability::ReliableDelivery);
-            auto *vj = nodes[j]->nic.createVi(
-                via::Reliability::ReliableDelivery);
+            auto *vi = nodes[i]->nic.createVi();
+            auto *vj = nodes[j]->nic.createVi();
             via::ViaNic::connect(*vi, *vj);
             nodes[i]->viTo[j] = vi;
             nodes[j]->viTo[i] = vj;
@@ -175,8 +173,7 @@ main(int argc, char **argv)
             CacheNode *r = nodes[recv];
             r->ringFor[send] = r->nic.registerMemory(
                 BlockBytes,
-                [r](std::uint64_t, std::uint64_t,
-                    const via::Payload &pl, std::uint32_t) {
+                [r](std::uint64_t, std::uint64_t, const via::Payload &pl) {
                     r->blockArrived(*net::payloadAs<std::uint32_t>(pl));
                 });
             nodes[send]->ringAt[recv] = r->ringFor[send].base;

@@ -28,8 +28,8 @@ pingPongRegular(std::uint64_t bytes, int iters)
     sim::Simulator sim;
     net::Fabric fabric(sim, net::FabricConfig::clan(), 2);
     via::ViaNic na(sim, fabric, 0), nb(sim, fabric, 1);
-    auto *va = na.createVi(via::Reliability::ReliableDelivery);
-    auto *vb = nb.createVi(via::Reliability::ReliableDelivery);
+    auto *va = na.createVi();
+    auto *vb = nb.createVi();
     via::ViaNic::connect(*va, *vb);
     auto ma = na.registerMemory(1 << 20);
     auto mb = nb.registerMemory(1 << 20);
@@ -69,14 +69,14 @@ rmwStream(std::uint64_t bytes, int count)
     sim::Simulator sim;
     net::Fabric fabric(sim, net::FabricConfig::clan(), 2);
     via::ViaNic na(sim, fabric, 0), nb(sim, fabric, 1);
-    auto *va = na.createVi(via::Reliability::ReliableDelivery);
-    auto *vb = nb.createVi(via::Reliability::ReliableDelivery);
+    auto *va = na.createVi();
+    auto *vb = nb.createVi();
     via::ViaNic::connect(*va, *vb);
     auto ma = na.registerMemory(1 << 20);
     std::uint64_t landed = 0;
     auto mb = nb.registerMemory(
         1 << 20, [&](std::uint64_t, std::uint64_t len,
-                     const via::Payload &, std::uint32_t) {
+                     const via::Payload &) {
             landed += len;
         });
     for (int i = 0; i < count; ++i)

@@ -2,8 +2,10 @@
 # The CI entry point: one command that proves the tree is healthy.
 #
 #   (a) tier-1 build + full ctest, with the VIA invariant checker on,
-#       plus an event-kernel microbench smoke run (allocs/event == 0)
-#       and a flow-control window sweep that must strand no request
+#       plus an event-kernel microbench smoke run (allocs/event == 0),
+#       a flow-control window sweep that must strand no request, and
+#       the three programs that drive src/via and src/tcpnet without
+#       a PRESS cluster (via_pingpong, coop_cache, comm_micro)
 #   (b) AddressSanitizer + UBSan build + full ctest, checker still on
 #   (c) ThreadSanitizer build + every multi-threaded harness: the
 #       ParallelRunner sweep, the tracing structures its workers write
@@ -74,6 +76,11 @@ stage_tier1() {
     # every request (the sweep runner aborts on a stranded one).
     ./build/examples/press_sweep --param window --values 1,2,3,8 \
         --configs via0,via5 --requests 8000 --jobs 4
+    # The direct users of the VIA and TCP libraries. No ctest drives
+    # these programs; a library assert or crash in one fails the stage.
+    ./build/examples/via_pingpong 100
+    ./build/examples/coop_cache
+    ./build/bench/comm_micro --benchmark_min_time=0.01
 }
 
 stage_asan() {

@@ -150,19 +150,19 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         p->forwardRing = _nic->registerMemory(
             window * SlotBytes,
             [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
+                         const via::Payload &pl) {
                 consumeRmwControl(from, pl);
             });
         p->cachingRing = _nic->registerMemory(
             window * SlotBytes,
             [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
+                         const via::Payload &pl) {
                 consumeRmwControl(from, pl);
             });
         p->fileMetaRing = _nic->registerMemory(
             window * SlotBytes,
             [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
+                         const via::Payload &pl) {
                 consumeRmwFile(from, pl);
             });
         // File data lands silently; the metadata write triggers
@@ -173,7 +173,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
         p->flowWords = _nic->registerMemory(
             static_cast<int>(FlowChannel::NumChannels) * 8,
             [this, from](std::uint64_t, std::uint64_t,
-                         const via::Payload &pl, std::uint32_t) {
+                         const via::Payload &pl) {
                 const auto *w = net::payloadAs<WireMsg>(pl);
                 PRESS_ASSERT(w, "bad flow-word payload");
                 const auto *flow = std::get_if<FlowMsg>(&w->body);
@@ -182,7 +182,7 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
             });
         p->loadWord = _nic->registerMemory(
             8, [this, from](std::uint64_t, std::uint64_t,
-                            const via::Payload &pl, std::uint32_t) {
+                            const via::Payload &pl) {
                 // The main thread notices the overwritten word on its
                 // next poll; only the probe costs CPU.
                 _cpu.submit(_cal.via.pollProbe, CatIntraComm,
@@ -233,12 +233,10 @@ ViaComm::linkMesh(std::vector<std::unique_ptr<ViaComm>> &comms)
         for (int j = i + 1; j < n; ++j) {
             ViaComm &a = *comms[i];
             ViaComm &b = *comms[j];
-            via::VirtualInterface *va = a._nic->createVi(
-                via::Reliability::ReliableDelivery, a._sendCq.get(),
-                a._recvCq.get());
-            via::VirtualInterface *vb = b._nic->createVi(
-                via::Reliability::ReliableDelivery, b._sendCq.get(),
-                b._recvCq.get());
+            via::VirtualInterface *va =
+                a._nic->createVi(a._sendCq.get(), a._recvCq.get());
+            via::VirtualInterface *vb =
+                b._nic->createVi(b._sendCq.get(), b._recvCq.get());
             via::ViaNic::connect(*va, *vb);
             a._peers[j]->vi = va;
             b._peers[i]->vi = vb;
@@ -490,15 +488,9 @@ ViaComm::processRegular(via::DescriptorPtr desc,
         return;
     }
 
-    // Identify the sender by the VI the message came in on.
-    int from = -1;
-    for (int j = 0; j < _config.nodes; ++j) {
-        if (_peers[j] && _peers[j]->vi == vi) {
-            from = j;
-            break;
-        }
-    }
-    PRESS_ASSERT(from >= 0, "completion from unknown VI");
+    // The sender is the node at the far end of the VI.
+    const int from = vi->peer()->node();
+    PRESS_ASSERT(_peers[from]->vi == vi, "completion from unknown VI");
     Peer &peer = *_peers[from];
 
     net::Payload payload = desc->payload;

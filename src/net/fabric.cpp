@@ -87,7 +87,7 @@ Fabric::portDomain(NodeId port) const
 
 Fabric::Transfer *
 Fabric::acquireTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                        DeliverFn on_delivered, DeliverFn on_tx_done)
+                        DeliverFn on_delivered)
 {
     Transfer *t;
     if (_freeTransfers.empty()) {
@@ -101,7 +101,6 @@ Fabric::acquireTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
     t->bytes = bytes;
     t->sendTick = _sim.now();
     t->onDelivered = std::move(on_delivered);
-    t->onTxDone = std::move(on_tx_done);
     return t;
 }
 
@@ -109,13 +108,12 @@ void
 Fabric::releaseTransfer(Transfer *t)
 {
     t->onDelivered = nullptr;
-    t->onTxDone = nullptr;
     _freeTransfers.push_back(t);
 }
 
 void
 Fabric::send(NodeId src, NodeId dst, std::uint64_t bytes,
-             DeliverFn on_delivered, DeliverFn on_tx_done)
+             DeliverFn on_delivered)
 {
     checkPort(src);
     checkPort(dst);
@@ -124,8 +122,7 @@ Fabric::send(NodeId src, NodeId dst, std::uint64_t bytes,
     ++st.messagesSent;
     st.bytesSent += bytes;
 
-    Transfer *t = acquireTransfer(src, dst, bytes, std::move(on_delivered),
-                                  std::move(on_tx_done));
+    Transfer *t = acquireTransfer(src, dst, bytes, std::move(on_delivered));
     if (src == dst) {
         // Local short-circuit: only the TX engine is charged.
         _tx[src]->submit(txTime(bytes), 0,
@@ -141,11 +138,8 @@ Fabric::loopbackDone(Transfer *t)
     auto &rst = _stats[t->dst];
     ++rst.messagesReceived;
     rst.bytesReceived += t->bytes;
-    DeliverFn tx = std::move(t->onTxDone);
     DeliverFn cb = std::move(t->onDelivered);
     releaseTransfer(t);
-    if (tx)
-        tx();
     if (cb)
         cb();
 }
@@ -153,9 +147,6 @@ Fabric::loopbackDone(Transfer *t)
 void
 Fabric::txDone(Transfer *t)
 {
-    DeliverFn tx = std::move(t->onTxDone);
-    if (tx)
-        tx();
     // The wire hop is the cross-node handoff: the arrival (and every
     // receive-side event it causes) runs in the destination's domain,
     // wireLatency ahead — the lookahead edge the causality checker

@@ -103,15 +103,13 @@ class Fabric
 
     /**
      * Transfer @p bytes from @p src to @p dst and invoke @p on_delivered
-     * when the last byte has been received. @p on_tx_done (optional) fires
-     * when the source port finishes serializing the message — the moment a
-     * NIC reports local completion for unreliable traffic.
+     * when the last byte has been received.
      *
      * Loopback (src == dst) is delivered after the TX overhead only, since
      * real NICs short-circuit local traffic.
      */
     void send(NodeId src, NodeId dst, std::uint64_t bytes,
-              DeliverFn on_delivered, DeliverFn on_tx_done = {});
+              DeliverFn on_delivered);
 
     /** Serialization + overhead time a message of @p bytes occupies a
      *  port engine for. */
@@ -160,11 +158,10 @@ class Fabric
         std::uint64_t bytes = 0;
         sim::Tick sendTick = 0; ///< when send() was called
         DeliverFn onDelivered;
-        DeliverFn onTxDone;
     };
 
     Transfer *acquireTransfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                              DeliverFn on_delivered, DeliverFn on_tx_done);
+                              DeliverFn on_delivered);
     void releaseTransfer(Transfer *t);
     void txDone(Transfer *t);
     void wireDone(Transfer *t);

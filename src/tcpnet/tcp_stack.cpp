@@ -67,8 +67,7 @@ TcpChannel::TcpChannel(TcpStack &local, TcpStack &remote,
 }
 
 void
-TcpChannel::send(std::uint64_t bytes, net::Payload payload,
-                 sim::EventFn on_sent)
+TcpChannel::send(std::uint64_t bytes, net::Payload payload)
 {
     // Admit when the window has room; a message larger than the whole
     // window is admitted alone (TCP streams it out regardless).
@@ -76,18 +75,11 @@ TcpChannel::send(std::uint64_t bytes, net::Payload payload,
                  (_inFlight == 0 || _inFlight + bytes <= _sockbuf);
     if (!admit) {
         ++_local._stats.sendsBlocked;
-        _pending.push_back(PendingSend{bytes, std::move(payload),
-                                       std::move(on_sent)});
+        _pending.push_back(PendingSend{bytes, std::move(payload)});
         return;
     }
     _inFlight += bytes;
     deliver(bytes, std::move(payload));
-    if (on_sent) {
-        // The sender regains control once the kernel send path retires.
-        // deliver() queued that work; fire on_sent with it by submitting a
-        // zero-cost marker right behind it on the same CPU.
-        _local._cpu.submit(0, _local._cpuCategory, std::move(on_sent));
-    }
 }
 
 void
@@ -156,8 +148,6 @@ TcpChannel::trySend()
         _pending.pop_front();
         _inFlight += p.bytes;
         deliver(p.bytes, std::move(p.payload));
-        if (p.onSent)
-            _local._cpu.submit(0, _local._cpuCategory, std::move(p.onSent));
     }
 }
 
@@ -165,18 +155,6 @@ void
 TcpChannel::onReceive(TcpReceiveFn handler)
 {
     _handler = std::move(handler);
-}
-
-net::NodeId
-TcpChannel::localNode() const
-{
-    return _local.node();
-}
-
-net::NodeId
-TcpChannel::peerNode() const
-{
-    return _remote.node();
 }
 
 TcpStack::TcpStack(sim::Simulator &sim, net::Fabric &fabric,
@@ -200,8 +178,6 @@ TcpStack::connect(TcpStack &a, TcpStack &b, std::uint64_t sockbuf)
         std::unique_ptr<TcpChannel>(new TcpChannel(a, b, sockbuf));
     auto rev =
         std::unique_ptr<TcpChannel>(new TcpChannel(b, a, sockbuf));
-    fwd->_reverse = rev.get();
-    rev->_reverse = fwd.get();
     a._channels.push_back(std::move(fwd));
     b._channels.push_back(std::move(rev));
     return {a._channels.back().get(), b._channels.back().get()};

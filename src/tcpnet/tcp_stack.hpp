@@ -95,19 +95,12 @@ class TcpChannel
     /**
      * Queue @p bytes for transmission. Delivery order is FIFO. When the
      * in-flight window (socket buffer) is full the message waits at the
-     * sender. @p on_sent, if given, fires when the send-side kernel work
-     * for this message has finished (the moment an event-driven server
-     * regains the CPU).
+     * sender.
      */
-    void send(std::uint64_t bytes, net::Payload payload = {},
-              sim::EventFn on_sent = {});
+    void send(std::uint64_t bytes, net::Payload payload = {});
 
     /** Install the receive upcall (replaces any previous one). */
     void onReceive(TcpReceiveFn handler);
-
-    /** Node ids of the two ends. */
-    net::NodeId localNode() const;
-    net::NodeId peerNode() const;
 
     /** Bytes accepted into the window and not yet consumed remotely. */
     std::uint64_t inFlight() const { return _inFlight; }
@@ -123,7 +116,6 @@ class TcpChannel
     struct PendingSend {
         std::uint64_t bytes = 0;
         net::Payload payload;
-        sim::EventFn onSent;
     };
 
     void trySend();
@@ -132,7 +124,6 @@ class TcpChannel
 
     TcpStack &_local;
     TcpStack &_remote;
-    TcpChannel *_reverse = nullptr; ///< the remote->local direction
     std::uint64_t _sockbuf;
     std::uint64_t _inFlight = 0;
     util::RingQueue<PendingSend> _pending;

@@ -5,15 +5,13 @@
 namespace press::via {
 
 DescriptorPtr
-makeSend(Address local, std::uint64_t length, Payload payload,
-         std::uint32_t immediate)
+makeSend(Address local, std::uint64_t length, Payload payload)
 {
     auto d = util::makePooled<Descriptor>();
     d->op = Opcode::Send;
     d->localAddr = local;
     d->length = length;
     d->payload = std::move(payload);
-    d->immediate = immediate;
     return d;
 }
 
@@ -29,7 +27,7 @@ makeRecv(Address local, std::uint64_t capacity)
 
 DescriptorPtr
 makeRdmaWrite(Address local, std::uint64_t length, Address remote,
-              Payload payload, std::uint32_t immediate)
+              Payload payload)
 {
     auto d = util::makePooled<Descriptor>();
     d->op = Opcode::RdmaWrite;
@@ -37,7 +35,6 @@ makeRdmaWrite(Address local, std::uint64_t length, Address remote,
     d->length = length;
     d->remoteAddr = remote;
     d->payload = std::move(payload);
-    d->immediate = immediate;
     return d;
 }
 

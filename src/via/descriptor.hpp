@@ -16,8 +16,7 @@ namespace press::via {
 /**
  * A work-queue element. Real VIA descriptors are segment lists in
  * registered memory; here a descriptor is a single segment plus the
- * control fields the paper's server uses (immediate data carries message
- * sequence numbers / piggy-backed load).
+ * remote address of a remote memory write.
  */
 struct Descriptor {
     Opcode op = Opcode::Send;
@@ -29,8 +28,6 @@ struct Descriptor {
     std::uint64_t length = 0;
     /** Destination address for RdmaWrite, in the *remote* address space. */
     Address remoteAddr = 0;
-    /** 32-bit immediate data, delivered with the message. */
-    std::uint32_t immediate = 0;
 
     /** Simulated message contents (what lands at the receiver). */
     Payload payload;
@@ -43,15 +40,14 @@ using DescriptorPtr = std::shared_ptr<Descriptor>;
 
 /** Convenience factory for a regular send descriptor. */
 DescriptorPtr makeSend(Address local, std::uint64_t length,
-                       Payload payload = {}, std::uint32_t immediate = 0);
+                       Payload payload = {});
 
 /** Convenience factory for a receive descriptor (buffer to fill). */
 DescriptorPtr makeRecv(Address local, std::uint64_t capacity);
 
 /** Convenience factory for a remote-memory-write descriptor. */
 DescriptorPtr makeRdmaWrite(Address local, std::uint64_t length,
-                            Address remote, Payload payload = {},
-                            std::uint32_t immediate = 0);
+                            Address remote, Payload payload = {});
 
 } // namespace press::via
 

@@ -1,7 +1,6 @@
 #include "memory.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -24,19 +23,6 @@ roundUpToPage(std::uint64_t v)
 MemoryRegion
 MemoryRegistry::registerMemory(std::uint64_t size, WriteHook hook)
 {
-    return registerImpl(size, std::move(hook), /*backed=*/false);
-}
-
-MemoryRegion
-MemoryRegistry::registerBacked(std::uint64_t size, WriteHook hook)
-{
-    return registerImpl(size, std::move(hook), /*backed=*/true);
-}
-
-MemoryRegion
-MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
-                             bool backed)
-{
     PRESS_ASSERT(size > 0, "cannot register an empty region");
     PRESS_ASSERT(!_inHook, "registration from inside a write hook");
     MemoryRegion region;
@@ -45,16 +31,11 @@ MemoryRegistry::registerImpl(std::uint64_t size, WriteHook hook,
     region.size = size;
     _nextBase += roundUpToPage(size) + PageSize; // guard page between
     _pinned += roundUpToPage(size);
-    Entry entry{region, std::move(hook), {}};
-    if (backed) {
-        entry.backing.assign(size, 0);
-        ++_backed;
-    }
     // Bases only grow, so the new region sorts last.
     _bases.push_back(region.base);
-    _entries.push_back(std::move(entry));
+    _entries.push_back(Entry{region, std::move(hook)});
     if (_observer)
-        _observer->onRegister(*this, region, backed);
+        _observer->onRegister(*this, region);
     return region;
 }
 
@@ -66,8 +47,6 @@ MemoryRegistry::deregister(MemoryHandle handle)
         const Entry &e = _entries[i];
         if (e.region.handle == handle) {
             _pinned -= roundUpToPage(e.region.size);
-            if (!e.backing.empty())
-                --_backed;
             _bases.erase(_bases.begin() + static_cast<std::ptrdiff_t>(i));
             _entries.erase(_entries.begin() +
                            static_cast<std::ptrdiff_t>(i));
@@ -95,14 +74,6 @@ MemoryRegistry::entryFor(Address addr, std::uint64_t length) const
     return nullptr;
 }
 
-MemoryRegistry::Entry *
-MemoryRegistry::entryFor(Address addr, std::uint64_t length)
-{
-    return const_cast<Entry *>(
-        static_cast<const MemoryRegistry *>(this)->entryFor(addr,
-                                                            length));
-}
-
 std::optional<MemoryRegion>
 MemoryRegistry::find(Address addr, std::uint64_t length) const
 {
@@ -113,61 +84,17 @@ MemoryRegistry::find(Address addr, std::uint64_t length) const
 }
 
 bool
-MemoryRegistry::isBacked(Address addr) const
-{
-    const Entry *e = entryFor(addr, 1);
-    return e && !e->backing.empty();
-}
-
-void
-MemoryRegistry::store(Address addr, std::span<const std::uint8_t> data)
-{
-    Entry *e = entryFor(addr, data.size());
-    PRESS_ASSERT(e, "store outside any registered region");
-    PRESS_ASSERT(!e->backing.empty(), "store into an unbacked region");
-    std::memcpy(e->backing.data() + (addr - e->region.base), data.data(),
-                data.size());
-}
-
-std::vector<std::uint8_t>
-MemoryRegistry::fetch(Address addr, std::uint64_t length) const
+MemoryRegistry::deliverWrite(Address addr, std::uint64_t length,
+                             const Payload &payload)
 {
     const Entry *e = entryFor(addr, length);
-    PRESS_ASSERT(e, "fetch outside any registered region");
-    PRESS_ASSERT(!e->backing.empty(), "fetch from an unbacked region");
-    auto *begin = e->backing.data() + (addr - e->region.base);
-    return std::vector<std::uint8_t>(begin, begin + length);
-}
-
-void
-MemoryRegistry::dmaCopy(const MemoryRegistry &src, Address src_addr,
-                        MemoryRegistry &dst, Address dst_addr,
-                        std::uint64_t length)
-{
-    if (length == 0 || src._backed == 0 || dst._backed == 0)
-        return;
-    const Entry *se = src.entryFor(src_addr, length);
-    Entry *de = dst.entryFor(dst_addr, length);
-    if (!se || !de || se->backing.empty() || de->backing.empty())
-        return; // at least one plain region: metadata-only transfer
-    std::memcpy(de->backing.data() + (dst_addr - de->region.base),
-                se->backing.data() + (src_addr - se->region.base),
-                length);
-}
-
-bool
-MemoryRegistry::deliverWrite(Address addr, std::uint64_t length,
-                             const Payload &payload,
-                             std::uint32_t immediate)
-{
-    Entry *e = entryFor(addr, length);
     if (_observer)
         _observer->onRdmaDeliver(*this, addr, length, e != nullptr);
     if (!e)
         return false;
     if (e->hook) {
         bool outer = std::exchange(_inHook, true);
-        e->hook(addr - e->region.base, length, payload, immediate);
+        e->hook(addr - e->region.base, length, payload);
         _inHook = outer;
     }
     return true;

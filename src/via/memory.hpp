@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "via/types.hpp"
@@ -28,15 +27,13 @@ class ViaObserver;
 /**
  * Callback invoked when a remote memory write lands inside a region.
  *
- * @param offset     byte offset of the write within the region
- * @param length     bytes written
- * @param payload    simulated contents
- * @param immediate  immediate data carried by the descriptor
+ * @param offset   byte offset of the write within the region
+ * @param length   bytes written
+ * @param payload  simulated contents
  */
 using WriteHook = std::function<void(std::uint64_t offset,
                                      std::uint64_t length,
-                                     const Payload &payload,
-                                     std::uint32_t immediate)>;
+                                     const Payload &payload)>;
 
 /** A registered (pinned) memory region. */
 struct MemoryRegion {
@@ -49,14 +46,8 @@ struct MemoryRegion {
  * Per-node registration table. Tracks total pinned bytes so callers can
  * enforce pinning budgets (the paper's version 5 registers the entire
  * file cache, which is only possible when the cache fits in pinnable
- * memory).
- *
- * Regions come in two flavours. Plain regions track only metadata —
- * transfers between them move opaque payload handles, which is what the
- * server simulation uses (no host-side byte copying). *Backed* regions
- * additionally own real storage: DMA between two backed regions copies
- * actual bytes, so applications using the VIA library directly (and the
- * library's own tests) get byte-exact data transfer.
+ * memory). A region tracks only metadata: transfers move opaque payload
+ * handles, so the host does no per-byte work.
  *
  * Every VIA transfer resolves its addresses here, so the table is flat:
  * base addresses are handed out in increasing order, registering
@@ -74,34 +65,6 @@ class MemoryRegistry
     MemoryRegion registerMemory(std::uint64_t size, WriteHook hook = {});
 
     /**
-     * Register @p size bytes with real zero-initialized backing
-     * storage.
-     */
-    MemoryRegion registerBacked(std::uint64_t size, WriteHook hook = {});
-
-    /** True when @p addr lies in a backed region. */
-    bool isBacked(Address addr) const;
-
-    /**
-     * Read/write backing storage (application-side access to its own
-     * registered buffers). Panics when the range is not inside a
-     * backed region.
-     * @{
-     */
-    void store(Address addr, std::span<const std::uint8_t> data);
-    std::vector<std::uint8_t> fetch(Address addr,
-                                    std::uint64_t length) const;
-    /** @} */
-
-    /** NIC-side: copy @p length bytes of backing between regions (used
-     *  by the DMA engine when both ends are backed). No-op when either
-     *  side is unbacked; returns before any lookup when either registry
-     *  holds no backed region. */
-    static void dmaCopy(const MemoryRegistry &src, Address src_addr,
-                        MemoryRegistry &dst, Address dst_addr,
-                        std::uint64_t length);
-
-    /**
      * Deregister a region.
      * @return false when the handle is unknown.
      */
@@ -113,7 +76,7 @@ class MemoryRegistry
 
     /** Deliver a remote write to @p addr (called by the NIC model). */
     bool deliverWrite(Address addr, std::uint64_t length,
-                      const Payload &payload, std::uint32_t immediate);
+                      const Payload &payload);
 
     /** Total currently-pinned bytes. */
     std::uint64_t pinnedBytes() const { return _pinned; }
@@ -129,20 +92,15 @@ class MemoryRegistry
     struct Entry {
         MemoryRegion region;
         WriteHook hook;
-        std::vector<std::uint8_t> backing; ///< empty for plain regions
     };
 
-    MemoryRegion registerImpl(std::uint64_t size, WriteHook hook,
-                              bool backed);
     const Entry *entryFor(Address addr, std::uint64_t length) const;
-    Entry *entryFor(Address addr, std::uint64_t length);
 
     // Live regions in base order: _bases[i] == _entries[i].region.base,
     // kept apart so the binary search touches only the bases.
     std::vector<Address> _bases;
     std::vector<Entry> _entries;
-    std::size_t _backed = 0; ///< live backed regions
-    bool _inHook = false;    ///< a write hook is running
+    bool _inHook = false; ///< a write hook is running
     Address _nextBase = 0x1000;
     MemoryHandle _nextHandle = 1;
     std::uint64_t _pinned = 0;

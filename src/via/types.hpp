@@ -7,9 +7,10 @@
  * (VIs) directly onto the network hardware, post send/receive descriptors
  * to per-VI work queues, reap completions from the queues or from shared
  * Completion Queues, and may write directly into registered remote memory
- * (remote memory writes). Matching the Giganet cLAN implementation used in
- * the paper, remote memory *reads* and the reliable-reception level are
- * not provided.
+ * (remote memory writes). Every VI runs the reliable-delivery level, the
+ * one PRESS uses on the cLAN: exactly-once, in-order delivery with errors
+ * reported. Matching the Giganet cLAN implementation used in the paper,
+ * remote memory *reads* are not provided.
  *
  * Simulation note: buffers live in a per-node abstract address space
  * (registered regions). Message contents are carried as opaque payload
@@ -37,14 +38,6 @@ using MemoryHandle = std::uint32_t;
 /** Simulation stand-in for message bytes. */
 using Payload = net::Payload;
 
-/** VIA reliability levels (VIA spec section 2; cLAN supports the
- *  first two). */
-enum class Reliability {
-    Unreliable,        ///< messages may be dropped silently
-    ReliableDelivery,  ///< exactly-once, in-order, errors reported
-    ReliableReception, ///< delivery confirmed at target memory
-};
-
 /** Descriptor operation. */
 enum class Opcode {
     Send,      ///< regular two-sided send (consumes a remote recv)
@@ -55,7 +48,7 @@ enum class Opcode {
 enum class Status {
     Pending,            ///< posted, not yet completed
     Complete,           ///< success
-    ErrorRecvOverrun,   ///< no receive descriptor posted (reliable VIs)
+    ErrorRecvOverrun,   ///< no large-enough receive descriptor posted
     ErrorNotRegistered, ///< address not inside a registered region
     ErrorDisconnected,  ///< peer VI is gone
     ErrorFlushed,       ///< VI torn down while descriptor pending

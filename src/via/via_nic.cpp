@@ -1,4 +1,3 @@
-#include <cstdio>
 #include "via_nic.hpp"
 
 #include "util/logging.hpp"
@@ -34,12 +33,6 @@ ViaNic::registerMemory(std::uint64_t size, WriteHook hook)
     return _memory.registerMemory(size, std::move(hook));
 }
 
-MemoryRegion
-ViaNic::registerBacked(std::uint64_t size, WriteHook hook)
-{
-    return _memory.registerBacked(size, std::move(hook));
-}
-
 bool
 ViaNic::deregister(MemoryHandle handle)
 {
@@ -54,34 +47,18 @@ ViaNic::setObserver(ViaObserver *observer)
 }
 
 VirtualInterface *
-ViaNic::createVi(Reliability reliability, CompletionQueue *send_cq,
-                 CompletionQueue *recv_cq)
+ViaNic::createVi(CompletionQueue *send_cq, CompletionQueue *recv_cq)
 {
     auto vi = std::unique_ptr<VirtualInterface>(new VirtualInterface(
-        *this, _node, static_cast<int>(_vis.size()), reliability, send_cq,
-        recv_cq));
+        *this, _node, static_cast<int>(_vis.size()), send_cq, recv_cq));
     _vis.push_back(std::move(vi));
     return _vis.back().get();
-}
-
-void
-ViaNic::disconnect(VirtualInterface &a)
-{
-    VirtualInterface *peer = a.peer();
-    a.markBroken();
-    a.flushRecvQueue();
-    if (peer) {
-        peer->markBroken();
-        peer->flushRecvQueue();
-    }
 }
 
 void
 ViaNic::connect(VirtualInterface &a, VirtualInterface &b)
 {
     PRESS_ASSERT(!a._peer && !b._peer, "VI already connected");
-    PRESS_ASSERT(a._reliability == b._reliability,
-                 "reliability mismatch on VI connect");
     PRESS_ASSERT(&a != &b, "cannot connect a VI to itself");
     a._peer = &b;
     b._peer = &a;
@@ -114,34 +91,15 @@ ViaNic::processSend(VirtualInterface &vi, DescriptorPtr desc)
         ++_stats.rdmaWritesPosted;
     _stats.bytesSent += desc->length;
 
-    Reliability rel = vi.reliability();
-    std::uint64_t wire_bytes = desc->length + HeaderBytes;
+    // Reliable delivery: the send completes only after arrival.
     VirtualInterface *src = &vi;
-
-    if (rel == Reliability::Unreliable) {
-        // Local completion as soon as the data leaves the NIC.
-        _fabric.send(
-            _node, peer->node(), wire_bytes,
-            /*on_delivered=*/
-            [this, peer, src, desc]() {
-                if (desc->op == Opcode::Send)
-                    arriveSend(*peer, desc, Reliability::Unreliable, *src);
-                else
-                    arriveRdma(*peer, desc, Reliability::Unreliable, *src);
-            },
-            /*on_tx_done=*/
-            [src, desc]() { src->completeSend(desc, Status::Complete); });
-    } else {
-        // Reliable delivery (and reception, which cLAN lacks but the
-        // library supports): completion only after arrival.
-        _fabric.send(_node, peer->node(), wire_bytes,
-                     [this, peer, src, desc, rel]() {
-                         if (desc->op == Opcode::Send)
-                             arriveSend(*peer, desc, rel, *src);
-                         else
-                             arriveRdma(*peer, desc, rel, *src);
-                     });
-    }
+    _fabric.send(_node, peer->node(), desc->length + HeaderBytes,
+                 [this, peer, src, desc]() {
+                     if (desc->op == Opcode::Send)
+                         arriveSend(*peer, desc, *src);
+                     else
+                         arriveRdma(*peer, desc, *src);
+                 });
 }
 
 void
@@ -155,17 +113,12 @@ ViaNic::completeOnSender(VirtualInterface &src_vi, DescriptorPtr desc,
 
 void
 ViaNic::arriveSend(VirtualInterface &dst_vi, DescriptorPtr src_desc,
-                   Reliability reliability, VirtualInterface &src_vi)
+                   VirtualInterface &src_vi)
 {
-    ViaNic &dst_nic = dst_vi.nic();
-
     // A torn-down end-point discards in-flight traffic.
     if (dst_vi.broken()) {
-        if (reliability == Reliability::Unreliable)
-            ++dst_nic._stats.dropsUnreliable;
-        else
-            completeOnSender(src_vi, std::move(src_desc),
-                             Status::ErrorDisconnected);
+        completeOnSender(src_vi, std::move(src_desc),
+                         Status::ErrorDisconnected);
         return;
     }
 
@@ -173,80 +126,49 @@ ViaNic::arriveSend(VirtualInterface &dst_vi, DescriptorPtr src_desc,
 
     bool overrun = !recv || recv->length < src_desc->length;
     if (overrun) {
-        ++dst_nic._stats.recvOverruns;
+        ++dst_vi.nic()._stats.recvOverruns;
         if (recv) {
             // Buffer too small: the receive descriptor is consumed with
             // an error, like real VIA.
             recv->status = Status::ErrorRecvOverrun;
             dst_vi.completeRecv(std::move(recv));
         }
-        if (reliability == Reliability::Unreliable) {
-            ++dst_nic._stats.dropsUnreliable;
-            // Sender already completed at TX time; nothing more to do.
-        } else {
-            // Reliable connections break on receive overrun. The
-            // sender side breaks (and completes) in its own domain.
-            dst_vi.markBroken();
-            completeOnSender(src_vi, std::move(src_desc),
-                             Status::ErrorRecvOverrun,
-                             /*break_vi=*/true);
-        }
+        // The connection breaks on receive overrun. The sender side
+        // breaks (and completes) in its own domain.
+        dst_vi.markBroken();
+        completeOnSender(src_vi, std::move(src_desc),
+                         Status::ErrorRecvOverrun, /*break_vi=*/true);
         return;
     }
-
-    // Move real bytes when both buffers are backed (library-level use);
-    // server simulations use plain regions and skip the copy.
-    MemoryRegistry::dmaCopy(src_vi.nic()._memory, src_desc->localAddr,
-                            dst_nic._memory, recv->localAddr,
-                            src_desc->length);
 
     recv->status = Status::Complete;
     recv->bytesDone = src_desc->length;
     recv->payload = src_desc->payload;
-    recv->immediate = src_desc->immediate;
     dst_vi.completeRecv(std::move(recv));
-
-    if (reliability != Reliability::Unreliable)
-        completeOnSender(src_vi, std::move(src_desc),
-                         Status::Complete);
+    completeOnSender(src_vi, std::move(src_desc), Status::Complete);
 }
 
 void
 ViaNic::arriveRdma(VirtualInterface &dst_vi, DescriptorPtr src_desc,
-                   Reliability reliability, VirtualInterface &src_vi)
+                   VirtualInterface &src_vi)
 {
-    ViaNic &dst_nic = dst_vi.nic();
-
     if (dst_vi.broken()) {
-        if (reliability == Reliability::Unreliable)
-            ++dst_nic._stats.dropsUnreliable;
-        else
-            completeOnSender(src_vi, std::move(src_desc),
-                             Status::ErrorDisconnected);
-        return;
-    }
-
-    MemoryRegistry::dmaCopy(src_vi.nic()._memory, src_desc->localAddr,
-                            dst_nic._memory, src_desc->remoteAddr,
-                            src_desc->length);
-    bool ok = dst_nic._memory.deliverWrite(src_desc->remoteAddr,
-                                           src_desc->length,
-                                           src_desc->payload,
-                                           src_desc->immediate);
-    if (!ok) {
-        ++dst_nic._stats.rdmaBadAddress;
-        if (reliability != Reliability::Unreliable) {
-            dst_vi.markBroken();
-            completeOnSender(src_vi, std::move(src_desc),
-                             Status::ErrorNotRegistered,
-                             /*break_vi=*/true);
-        }
-        return;
-    }
-
-    if (reliability != Reliability::Unreliable)
         completeOnSender(src_vi, std::move(src_desc),
-                         Status::Complete);
+                         Status::ErrorDisconnected);
+        return;
+    }
+
+    ViaNic &dst_nic = dst_vi.nic();
+    if (!dst_nic._memory.deliverWrite(src_desc->remoteAddr,
+                                      src_desc->length,
+                                      src_desc->payload)) {
+        ++dst_nic._stats.rdmaBadAddress;
+        dst_vi.markBroken();
+        completeOnSender(src_vi, std::move(src_desc),
+                         Status::ErrorNotRegistered, /*break_vi=*/true);
+        return;
+    }
+    completeOnSender(src_vi, std::move(src_desc), Status::Complete);
 }
 
 } // namespace press::via

@@ -6,7 +6,9 @@
  * node's registration table and its VIs, and implements descriptor
  * processing: DMA from registered memory onto the wire, receive-descriptor
  * matching, remote memory writes into registered remote regions, and
- * completion deposition per the connection's reliability level.
+ * completion deposition with reliable-delivery semantics: a send
+ * completes on the sender once it has arrived, and an error breaks the
+ * connection.
  *
  * Division of labour with the host-CPU model: the ViaNic consumes *NIC*
  * time (modelled inside net::Fabric's port engines); the few microseconds
@@ -54,7 +56,6 @@ struct ViaNicStats {
     std::uint64_t rdmaWritesPosted = 0;
     std::uint64_t bytesSent = 0;
     std::uint64_t recvOverruns = 0;  ///< arrivals with no recv descriptor
-    std::uint64_t dropsUnreliable = 0;
     std::uint64_t rdmaBadAddress = 0;
 };
 
@@ -77,32 +78,19 @@ class ViaNic
     /** Register (pin) memory; see MemoryRegistry::registerMemory. */
     MemoryRegion registerMemory(std::uint64_t size, WriteHook hook = {});
 
-    /** Register memory with real backing bytes; see
-     *  MemoryRegistry::registerBacked. */
-    MemoryRegion registerBacked(std::uint64_t size, WriteHook hook = {});
-
     /** Deregister a region. */
     bool deregister(MemoryHandle handle);
 
     /**
-     * Create a VI on this NIC. CQs may be null (the VI keeps per-VI done
-     * queues instead).
+     * Create a reliable-delivery VI on this NIC. CQs may be null (the
+     * VI keeps per-VI done queues instead).
      */
-    VirtualInterface *createVi(Reliability reliability,
-                               CompletionQueue *send_cq = nullptr,
+    VirtualInterface *createVi(CompletionQueue *send_cq = nullptr,
                                CompletionQueue *recv_cq = nullptr);
 
-    /** Connect two unconnected VIs; reliability levels must match. */
+    /** Connect two unconnected VIs. A connection is torn down one end
+     *  at a time, by VirtualInterface::breakLocal(). */
     static void connect(VirtualInterface &a, VirtualInterface &b);
-
-    /**
-     * Tear a connection down. Both end-points become unusable
-     * (subsequent posts complete with ErrorDisconnected) and every
-     * still-posted receive descriptor on either side is completed with
-     * ErrorFlushed, per the VIA disconnect semantics. Messages already
-     * on the wire are discarded on arrival.
-     */
-    static void disconnect(VirtualInterface &a);
 
     /**
      * Attach an instrumentation observer (see via/observer.hpp). The
@@ -134,17 +122,17 @@ class ViaNic
 
     /** Arrival of a regular send at the destination NIC. */
     void arriveSend(VirtualInterface &dst_vi, DescriptorPtr src_desc,
-                    Reliability reliability, VirtualInterface &src_vi);
+                    VirtualInterface &src_vi);
 
     /** Arrival of a remote memory write at the destination NIC. */
     void arriveRdma(VirtualInterface &dst_vi, DescriptorPtr src_desc,
-                    Reliability reliability, VirtualInterface &src_vi);
+                    VirtualInterface &src_vi);
 
     /**
      * Deposit a send completion on the sender's VI, optionally breaking
-     * the VI first. Reliable completions are decided at the receiver
-     * but mutate sender state at the same tick — the one reverse edge
-     * in the VIA model with no wire delay under it.
+     * the VI first. Completions are decided at the receiver but mutate
+     * sender state at the same tick — the one reverse edge in the VIA
+     * model with no wire delay under it.
      */
     void completeOnSender(VirtualInterface &src_vi, DescriptorPtr desc,
                           Status status, bool break_vi = false);

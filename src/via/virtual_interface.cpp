@@ -7,15 +7,9 @@
 namespace press::via {
 
 VirtualInterface::VirtualInterface(ViaNic &nic, net::NodeId node, int id,
-                                   Reliability reliability,
                                    CompletionQueue *send_cq,
                                    CompletionQueue *recv_cq)
-    : _nic(nic),
-      _node(node),
-      _id(id),
-      _reliability(reliability),
-      _sendCq(send_cq),
-      _recvCq(recv_cq)
+    : _nic(nic), _node(node), _id(id), _sendCq(send_cq), _recvCq(recv_cq)
 {
 }
 
@@ -33,11 +27,13 @@ VirtualInterface::postSend(DescriptorPtr desc)
     else
         PRESS_ASSERT(desc->status == Status::Pending,
                      "descriptor reposted before completion");
+    // Every admitted post is in flight until it completes, the ones that
+    // complete at once on a dead connection included.
+    ++_sendOutstanding;
     if (!_peer || _broken) {
         completeSend(std::move(desc), Status::ErrorDisconnected);
         return true;
     }
-    ++_sendOutstanding;
     _nic.processSend(*this, std::move(desc));
     return true;
 }
@@ -87,8 +83,8 @@ VirtualInterface::completeSend(DescriptorPtr desc, Status status)
     desc->status = status;
     if (status == Status::Complete)
         desc->bytesDone = desc->length;
-    if (_sendOutstanding > 0)
-        --_sendOutstanding;
+    PRESS_ASSERT(_sendOutstanding > 0, "send completion without a post");
+    --_sendOutstanding;
     if (ViaObserver *obs = _nic.observer())
         obs->onCompletion(*this, *desc, false);
     if (_sendCq)

@@ -4,7 +4,7 @@
  *
  * A VI is the VIA analogue of a connected socket: a send queue and a
  * receive queue of descriptors, processed asynchronously by the NIC.
- * Pairs of VIs are connected point-to-point with a negotiated reliability
+ * Pairs of VIs are connected point-to-point at the reliable-delivery
  * level. Completions go either to per-VI done queues or to shared
  * Completion Queues.
  */
@@ -41,8 +41,7 @@ class VirtualInterface
      *
      * For Opcode::RdmaWrite the remote address must fall inside a region
      * the *peer* node registered; otherwise the descriptor completes with
-     * ErrorNotRegistered (reliable VIs) or the write is dropped
-     * (unreliable VIs).
+     * ErrorNotRegistered and the connection breaks.
      *
      * @return false (descriptor not queued) when the send queue is at
      *         MaxQueueDepth — the caller must reap completions first.
@@ -74,20 +73,19 @@ class VirtualInterface
     bool connected() const { return _peer != nullptr && !_broken; }
     bool broken() const { return _broken; }
 
-    Reliability reliability() const { return _reliability; }
     VirtualInterface *peer() const { return _peer; }
     net::NodeId node() const { return _node; }
     ViaNic &nic() const { return _nic; }
     int id() const { return _id; }
 
     /**
-     * Tear down this end only (peer crash semantics): the connection is
-     * marked broken and every posted receive buffer drains with
-     * ErrorFlushed. The peer end is untouched — a crashed node cannot
-     * reach over and mutate survivor state; each end learns of the
-     * death in its own domain. In-flight sends toward a broken end
-     * complete on the sender with ErrorDisconnected (via_nic arrival
-     * paths).
+     * Tear down this end: the connection is marked broken, later posts
+     * complete with ErrorDisconnected, and every posted receive buffer
+     * drains with ErrorFlushed. The peer end is untouched — a crashed
+     * node cannot reach over and mutate survivor state; each end learns
+     * of the death in its own domain, so closing a connection takes one
+     * call per end. In-flight sends toward a broken end complete on the
+     * sender with ErrorDisconnected (via_nic arrival paths).
      */
     void
     breakLocal()
@@ -104,8 +102,7 @@ class VirtualInterface
     friend class ViaNic;
 
     VirtualInterface(ViaNic &nic, net::NodeId node, int id,
-                     Reliability reliability, CompletionQueue *send_cq,
-                     CompletionQueue *recv_cq);
+                     CompletionQueue *send_cq, CompletionQueue *recv_cq);
 
     /** Deposit a completed send descriptor. */
     void completeSend(DescriptorPtr desc, Status status);
@@ -116,7 +113,7 @@ class VirtualInterface
     /** Consume the next posted receive descriptor; nullptr if none. */
     DescriptorPtr takeRecv();
 
-    /** Mark the connection broken (reliable-mode errors). */
+    /** Mark the connection broken (delivery errors). */
     void markBroken() { _broken = true; }
 
     /** Complete every posted receive descriptor with ErrorFlushed. */
@@ -125,7 +122,6 @@ class VirtualInterface
     ViaNic &_nic;
     net::NodeId _node;
     int _id;
-    Reliability _reliability;
     CompletionQueue *_sendCq;
     CompletionQueue *_recvCq;
     VirtualInterface *_peer = nullptr;

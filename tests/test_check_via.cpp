@@ -44,10 +44,8 @@ struct Harness {
     pair(via::VirtualInterface **other = nullptr,
          via::CompletionQueue *recv_cq = nullptr)
     {
-        auto *va = nicA.createVi(via::Reliability::ReliableDelivery);
-        auto *vb =
-            nicB.createVi(via::Reliability::ReliableDelivery, nullptr,
-                          recv_cq);
+        auto *va = nicA.createVi();
+        auto *vb = nicB.createVi(nullptr, recv_cq);
         via::ViaNic::connect(*va, *vb);
         if (other)
             *other = vb;
@@ -322,8 +320,7 @@ TEST(ViaChecker, ViolationsCarryTickAndFormat)
     auto dst = h.nicB.registerMemory(4096);
     // Advance simulated time before seeding the violation so the report
     // carries a non-zero tick: a completed round trip does that.
-    via::VirtualInterface *vb = h.nicB.createVi(
-        via::Reliability::ReliableDelivery);
+    via::VirtualInterface *vb = h.nicB.createVi();
     (void)vb;
     va->postSend(via::makeRdmaWrite(src.base, 64, dst.base));
     h.sim.run();

@@ -141,19 +141,8 @@ TEST(TcpChannel, BothDirectionsIndependent)
     EXPECT_EQ(p.stackA.stats().messagesReceived, 2u);
 }
 
-TEST(TcpChannel, OnSentFiresAfterKernelSendPath)
-{
-    Pair p;
-    sim::Tick sent_at = -1;
-    p.ab->onReceive([](std::uint64_t, const net::Payload &) {});
-    p.ab->send(5000, nullptr, [&] { sent_at = p.sim.now(); });
-    p.sim.run();
-    TcpCosts c = TcpCosts::defaults();
-    EXPECT_EQ(sent_at, c.sendCpu(5000));
-}
-
 /** Paper anchor (S3.2): 4-byte one-way latency ~82 us on FE, ~76 us on
- *  cLAN. Allow +-20%. */
+ *  cLAN. Allow +-20%, and pin the exact arrival tick. */
 TEST(TcpChannel, PaperAnchorSmallMessageLatency)
 {
     for (bool clan : {false, true}) {
@@ -170,11 +159,13 @@ TEST(TcpChannel, PaperAnchorSmallMessageLatency)
         double target = clan ? 76.0 : 82.0;
         EXPECT_GT(us, target * 0.8) << (clan ? "cLAN" : "FE");
         EXPECT_LT(us, target * 1.2) << (clan ? "cLAN" : "FE");
+        EXPECT_EQ(arrived, clan ? 66404 : 86776) << (clan ? "cLAN" : "FE");
     }
 }
 
 /** Paper anchor (S3.2): streamed 32 KB messages reach ~11.5 MB/s on FE
- *  (wire-limited) and ~32 MB/s on cLAN (CPU-limited). */
+ *  (wire-limited) and ~32 MB/s on cLAN (CPU-limited). The run's end
+ *  tick is pinned exactly. */
 TEST(TcpChannel, PaperAnchorStreamBandwidth)
 {
     for (bool clan : {false, true}) {
@@ -196,9 +187,11 @@ TEST(TcpChannel, PaperAnchorStreamBandwidth)
         if (clan) {
             EXPECT_GT(bw, 26.0);
             EXPECT_LT(bw, 40.0);
+            EXPECT_EQ(p.sim.now(), 61457732);
         } else {
             EXPECT_GT(bw, 10.0);
             EXPECT_LT(bw, 13.0);
+            EXPECT_EQ(p.sim.now(), 186630000);
         }
     }
 }

@@ -56,33 +56,29 @@ TEST(MemoryRegistry, WriteHookFiresWithOffset)
 {
     MemoryRegistry reg;
     std::uint64_t seen_offset = 0, seen_len = 0;
-    std::uint32_t seen_imm = 0;
     auto r = reg.registerMemory(
-        8192, [&](std::uint64_t off, std::uint64_t len, const Payload &,
-                  std::uint32_t imm) {
+        8192, [&](std::uint64_t off, std::uint64_t len, const Payload &) {
             seen_offset = off;
             seen_len = len;
-            seen_imm = imm;
         });
-    EXPECT_TRUE(reg.deliverWrite(r.base + 256, 64, nullptr, 77));
+    EXPECT_TRUE(reg.deliverWrite(r.base + 256, 64, nullptr));
     EXPECT_EQ(seen_offset, 256u);
     EXPECT_EQ(seen_len, 64u);
-    EXPECT_EQ(seen_imm, 77u);
 }
 
 TEST(MemoryRegistry, WriteOutsideRegionsRejected)
 {
     MemoryRegistry reg;
     auto r = reg.registerMemory(4096);
-    EXPECT_FALSE(reg.deliverWrite(r.base + 4090, 100, nullptr, 0));
-    EXPECT_FALSE(reg.deliverWrite(0, 4, nullptr, 0));
+    EXPECT_FALSE(reg.deliverWrite(r.base + 4090, 100, nullptr));
+    EXPECT_FALSE(reg.deliverWrite(0, 4, nullptr));
 }
 
 TEST(MemoryRegistry, HookIsOptional)
 {
     MemoryRegistry reg;
     auto r = reg.registerMemory(4096); // no hook
-    EXPECT_TRUE(reg.deliverWrite(r.base, 4, nullptr, 0));
+    EXPECT_TRUE(reg.deliverWrite(r.base, 4, nullptr));
 }
 
 TEST(MemoryRegistry, ManyRegionsLookup)

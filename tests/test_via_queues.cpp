@@ -79,8 +79,8 @@ class ViPairTest : public ::testing::Test
             sim, net::FabricConfig::clan(), 2);
         nicA = std::make_unique<via::ViaNic>(sim, *fabric, 0);
         nicB = std::make_unique<via::ViaNic>(sim, *fabric, 1);
-        va = nicA->createVi(via::Reliability::ReliableDelivery);
-        vb = nicB->createVi(via::Reliability::ReliableDelivery);
+        va = nicA->createVi();
+        vb = nicB->createVi();
         via::ViaNic::connect(*va, *vb);
     }
 
@@ -109,7 +109,7 @@ TEST_F(ViPairTest, RecvQueueCounts)
 
 TEST_F(ViPairTest, SendOnUnconnectedViErrors)
 {
-    auto *lone = nicA->createVi(via::Reliability::ReliableDelivery);
+    auto *lone = nicA->createVi();
     auto buf = nicA->registerMemory(4096);
     lone->postSend(via::makeSend(buf.base, 100));
     auto done = lone->pollSend();
@@ -127,11 +127,30 @@ TEST_F(ViPairTest, SendFromUnregisteredMemoryErrors)
     EXPECT_EQ(done->status, via::Status::ErrorNotRegistered);
 }
 
-TEST_F(ViPairTest, MismatchedReliabilityRefusesConnect)
+TEST_F(ViPairTest, PostOnBrokenViLeavesInFlightCountAlone)
 {
-    auto *u = nicA->createVi(via::Reliability::Unreliable);
-    auto *r = nicB->createVi(via::Reliability::ReliableDelivery);
-    EXPECT_DEATH(via::ViaNic::connect(*u, *r), "reliability mismatch");
+    auto src = nicA->registerMemory(1 << 20);
+    auto dst = nicB->registerMemory(1 << 20);
+    vb->postRecv(via::makeRecv(dst.base, 1 << 20));
+    vb->postRecv(via::makeRecv(dst.base, 1 << 20));
+    ASSERT_TRUE(va->postSend(via::makeSend(src.base, 500000)));
+    ASSERT_TRUE(va->postSend(via::makeSend(src.base, 500000)));
+    EXPECT_EQ(va->sendOutstanding(), 2u);
+
+    // A post on the broken end completes at once; the two sends already
+    // on the wire are still in flight.
+    va->breakLocal();
+    ASSERT_TRUE(va->postSend(via::makeSend(src.base, 100)));
+    auto failed = va->pollSend();
+    ASSERT_TRUE(failed);
+    EXPECT_EQ(failed->status, via::Status::ErrorDisconnected);
+    EXPECT_EQ(va->sendOutstanding(), 2u);
+
+    sim.run();
+    EXPECT_EQ(va->sendOutstanding(), 0u);
+    EXPECT_TRUE(va->pollSend());
+    EXPECT_TRUE(va->pollSend());
+    EXPECT_FALSE(va->pollSend());
 }
 
 TEST_F(ViPairTest, SendQueueDepthBounded)

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the flat registration table behind via::MemoryRegistry:
- * lookups after deregistering from the middle of the table, the
- * backed-region count that lets dmaCopy skip its lookups, and the
+ * lookups after deregistering from the middle of the table, and the
  * write-hook re-entrancy guard.
  */
 
@@ -61,7 +60,7 @@ TEST(MemoryRegistryTable, DeregisterMiddleKeepsNeighbours)
     EXPECT_FALSE(reg.find(gone.base, 1).has_value());
     EXPECT_FALSE(reg.find(gone.base + gone.size / 2, 1).has_value());
     EXPECT_FALSE(reg.find(gone.base + gone.size - 1, 1).has_value());
-    EXPECT_FALSE(reg.deliverWrite(gone.base, 8, nullptr, 0));
+    EXPECT_FALSE(reg.deliverWrite(gone.base, 8, nullptr));
     EXPECT_FALSE(reg.deregister(gone.handle));
     EXPECT_EQ(reg.pinnedBytes(), pinned - pages(gone.size));
 
@@ -72,43 +71,13 @@ TEST(MemoryRegistryTable, DeregisterMiddleKeepsNeighbours)
     EXPECT_EQ(reg.pinnedBytes(), pinned - pages(gone.size) + pages(64));
 }
 
-TEST(MemoryRegistryTable, BackedCopySurvivesPlainDeregistration)
-{
-    MemoryRegistry src, dst;
-    MemoryRegion srcPlainA = src.registerMemory(4096);
-    MemoryRegion srcBacked = src.registerBacked(64);
-    MemoryRegion srcPlainB = src.registerMemory(8192);
-    MemoryRegion dstPlainA = dst.registerMemory(100);
-    MemoryRegion dstBacked = dst.registerBacked(64);
-    MemoryRegion dstPlainB = dst.registerMemory(100);
-
-    std::vector<std::uint8_t> data(64);
-    for (std::size_t i = 0; i < data.size(); ++i)
-        data[i] = static_cast<std::uint8_t>(3 * i + 1);
-    src.store(srcBacked.base, data);
-
-    for (auto [reg, r] : {std::pair{&src, srcPlainA}, {&src, srcPlainB},
-                          {&dst, dstPlainA}, {&dst, dstPlainB}})
-        ASSERT_TRUE(reg->deregister(r.handle));
-    MemoryRegistry::dmaCopy(src, srcBacked.base, dst, dstBacked.base, 64);
-    EXPECT_EQ(dst.fetch(dstBacked.base, 64), data);
-
-    // Once one side holds no backed region the copy is metadata-only:
-    // a fresh backed destination stays zeroed.
-    MemoryRegion dstFresh = dst.registerBacked(64);
-    ASSERT_TRUE(src.deregister(srcBacked.handle));
-    src.registerMemory(64);
-    MemoryRegistry::dmaCopy(src, srcBacked.base, dst, dstFresh.base, 64);
-    EXPECT_EQ(dst.fetch(dstFresh.base, 64),
-              std::vector<std::uint8_t>(64, 0));
-}
-
 TEST(MemoryRegistryTable, WriteHookCannotReshapeItsRegistry)
 {
     MemoryRegistry reg;
     MemoryRegion r = reg.registerMemory(
-        4096, [&reg](std::uint64_t, std::uint64_t, const Payload &,
-                     std::uint32_t) { reg.registerMemory(4096); });
-    EXPECT_DEATH(reg.deliverWrite(r.base, 8, nullptr, 0),
+        4096, [&reg](std::uint64_t, std::uint64_t, const Payload &) {
+            reg.registerMemory(4096);
+        });
+    EXPECT_DEATH(reg.deliverWrite(r.base, 8, nullptr),
                  "inside a write hook");
 }
