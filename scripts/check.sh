@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # The CI entry point: one command that proves the tree is healthy.
 #
-#   (a) tier-1 build + full ctest, with the VIA invariant checker on,
-#       plus an event-kernel microbench smoke run (allocs/event == 0),
-#       a flow-control window sweep that must strand no request, and
-#       the three programs that drive src/via and src/tcpnet without
-#       a PRESS cluster (via_pingpong, coop_cache, comm_micro)
-#   (b) AddressSanitizer + UBSan build + full ctest, checker still on
+#   (a) tier-1 build + full ctest, with the VIA invariant checker
+#       and the causality/lookahead checker on, plus an event-kernel
+#       microbench smoke run (allocs/event == 0), a flow-control
+#       window sweep that must strand no request, and the three
+#       programs that drive src/via and src/tcpnet without a PRESS
+#       cluster (via_pingpong, coop_cache, comm_micro)
+#   (b) AddressSanitizer + UBSan build + full ctest, checkers still on
 #   (c) ThreadSanitizer build + every multi-threaded harness: the
 #       ParallelRunner sweep, the tracing structures its workers write
 #       through, and the TickRaceHunter run pool
@@ -61,9 +62,11 @@ else
     STAGES=("$@")
 fi
 
-# Every simulation run in both ctest passes executes fully checked:
-# the first VIA protocol violation aborts the offending test.
+# Every simulation run in every stage executes fully checked: the
+# first VIA protocol violation or cross-domain edge under its lookahead
+# bound aborts the offending test or program.
 export PRESS_CHECK="${PRESS_CHECK:-1}"
+export PRESS_CAUSALITY="${PRESS_CAUSALITY:-1}"
 
 stage_tier1() {
     cmake -B build -S . -G Ninja -DPRESS_WERROR=ON
@@ -241,7 +244,8 @@ for stage in "${STAGES[@]}"; do
         ;;
     esac
     echo
-    echo "===== check.sh: $stage (PRESS_CHECK=$PRESS_CHECK) ====="
+    echo "===== check.sh: $stage (PRESS_CHECK=$PRESS_CHECK" \
+        "PRESS_CAUSALITY=$PRESS_CAUSALITY) ====="
     # Subshell with -e: the stage stops at its first error, but the
     # driver carries on to the remaining stages regardless.
     ( set -e; "stage_$stage" )

@@ -103,15 +103,6 @@ CausalityChecker::setBound(sim::Domain from, sim::Domain to,
 }
 
 void
-CausalityChecker::setAllBounds(sim::Tick bound)
-{
-    for (int f = 0; f < _domains; ++f)
-        for (int t = 0; t < _domains; ++t)
-            if (f != t)
-                cell(f, t).bound = bound;
-}
-
-void
 CausalityChecker::watchFabric(net::Fabric &fabric)
 {
     fabric.setObserver(this);

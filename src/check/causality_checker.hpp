@@ -104,10 +104,6 @@ class CausalityChecker : public sim::ScheduleObserver,
      */
     void setBound(sim::Domain from, sim::Domain to, sim::Tick bound);
 
-    /** setBound() over every ordered pair of distinct declared
-     *  domains. */
-    void setAllBounds(sim::Tick bound);
-
     /** Watch @p fabric deliveries against its unloaded latency. */
     void watchFabric(net::Fabric &fabric);
 
@@ -131,8 +127,6 @@ class CausalityChecker : public sim::ScheduleObserver,
     }
     /** Individual checks performed (edges + deliveries examined). */
     std::uint64_t checksPerformed() const { return _checks; }
-    /** Scheduling edges observed in total. */
-    std::uint64_t edgesObserved() const { return _edges; }
     /** Scheduling edges that crossed domains. */
     std::uint64_t crossDomainEdges() const { return _crossEdges; }
     /** Edges with an untagged (NoDomain) endpoint — setup-time

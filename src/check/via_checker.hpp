@@ -163,7 +163,6 @@ class ViaChecker : public via::ViaObserver
     };
 
     NodeState &stateFor(const via::MemoryRegistry &registry);
-    int nodeOf(const via::MemoryRegistry &registry) const;
 
     /** Classify why [addr, addr+length) is not fully inside a live
      *  region of @p registry and record the violation. @p rmw selects

@@ -33,20 +33,6 @@ distributionName(Distribution d)
     return "?";
 }
 
-const char *
-viaCheckName(ViaCheck c)
-{
-    switch (c) {
-      case ViaCheck::Off:
-        return "off";
-      case ViaCheck::Abort:
-        return "abort";
-      case ViaCheck::Record:
-        return "record";
-    }
-    return "?";
-}
-
 ViaCheck
 checkDefault(const char *name)
 {
@@ -106,18 +92,6 @@ Dissemination::label() const
         return "G" + std::to_string(fanout);
       case Kind::Tree:
         return "T" + std::to_string(fanout);
-    }
-    return "?";
-}
-
-const char *
-directoryModeName(DirectoryMode m)
-{
-    switch (m) {
-      case DirectoryMode::Replicated:
-        return "repl";
-      case DirectoryMode::Sharded:
-        return "shard";
     }
     return "?";
 }

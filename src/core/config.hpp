@@ -82,8 +82,6 @@ enum class ViaCheck {
     Record,
 };
 
-const char *viaCheckName(ViaCheck c);
-
 /**
  * Default checking level from the environment variable @p name
  * (PRESS_CHECK for the VIA checker, PRESS_CAUSALITY for the causality
@@ -158,8 +156,6 @@ enum class DirectoryMode {
     Replicated,
     Sharded,
 };
-
-const char *directoryModeName(DirectoryMode m);
 
 /** Requests for files at least this large are always served by the
  *  initial node (Section 2.2, rule 1), so no intra-cluster transfer

@@ -114,13 +114,6 @@ ViaComm::ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
     _recvCq = std::make_unique<via::CompletionQueue>(sim, recv_capacity);
     _sendCq = std::make_unique<via::CompletionQueue>(sim);
 
-    if (_config.viaCheck != ViaCheck::Off && !checker) {
-        _ownedChecker = std::make_unique<check::ViaChecker>(
-            sim, _config.viaCheck == ViaCheck::Record
-                     ? check::CheckMode::Record
-                     : check::CheckMode::Abort);
-        checker = _ownedChecker.get();
-    }
     if (checker) {
         checker->attachNic(*_nic);
         checker->attachCq(*_recvCq, _node);

@@ -64,13 +64,12 @@ class ViaComm : public ClusterComm
      * @param cpu      node CPU for charging comm work
      * @param fabric   the internal network (cLAN)
      * @param checker  cluster-wide invariant checker to attach to this
-     *                 node's NIC, CQs and credit gates. When null and
-     *                 config.viaCheck is enabled, the comm owns a
-     *                 private checker instead.
+     *                 node's NIC, CQs and credit gates; null when
+     *                 checking is off.
      */
     ViaComm(sim::Simulator &sim, int node, const PressConfig &config,
             sim::FifoResource &cpu, net::Fabric &fabric,
-            check::ViaChecker *checker = nullptr);
+            check::ViaChecker *checker);
 
     ~ViaComm() override;
 
@@ -173,7 +172,6 @@ class ViaComm : public ClusterComm
     const Calibration &_cal;
     sim::FifoResource &_cpu;
     std::unique_ptr<via::ViaNic> _nic;
-    std::unique_ptr<check::ViaChecker> _ownedChecker;
     std::unique_ptr<via::CompletionQueue> _recvCq;
     std::unique_ptr<via::CompletionQueue> _sendCq;
     std::vector<std::unique_ptr<Peer>> _peers; ///< indexed by node id

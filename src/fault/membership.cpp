@@ -4,22 +4,6 @@
 
 namespace press::fault {
 
-const char *
-nodeStateName(NodeState state)
-{
-    switch (state) {
-      case NodeState::Alive:
-        return "alive";
-      case NodeState::Suspected:
-        return "suspected";
-      case NodeState::Dead:
-        return "dead";
-      case NodeState::Left:
-        return "left";
-    }
-    return "?";
-}
-
 MembershipView::MembershipView(int nodes, int self)
     : _info(static_cast<std::size_t>(nodes)),
       _deadSince(static_cast<std::size_t>(nodes), 0),
@@ -44,9 +28,6 @@ MembershipView::apply(int subject, NodeState state, std::uint32_t epoch,
         return false;
     cur.state = state;
     cur.epoch = epoch;
-    cur.since = now;
-    ++_version;
-    _lastChange = now;
     if (state == NodeState::Dead || state == NodeState::Left)
         _deadSince[idx(subject)] = now;
     return true;

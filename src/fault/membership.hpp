@@ -37,13 +37,10 @@ enum class NodeState : std::uint8_t {
     Left = 3,
 };
 
-const char *nodeStateName(NodeState state);
-
 /** What one node believes about one cluster slot. */
 struct NodeInfo {
     NodeState state = NodeState::Alive;
     std::uint32_t epoch = 0;   ///< fault epoch the belief stems from
-    sim::Tick since = 0;       ///< local tick of the last change
 };
 
 /** One node's view of the whole cluster. */
@@ -64,7 +61,6 @@ class MembershipView
 
     NodeState state(int node) const { return _info[idx(node)].state; }
     std::uint32_t epoch(int node) const { return _info[idx(node)].epoch; }
-    const NodeInfo &info(int node) const { return _info[idx(node)]; }
 
     /** Dispatchable: only Alive nodes receive new work. */
     bool aliveNode(int node) const
@@ -76,12 +72,6 @@ class MembershipView
 
     int nodes() const { return static_cast<int>(_info.size()); }
     int self() const { return _self; }
-
-    /** Total accepted changes (the view's version number). */
-    std::uint64_t version() const { return _version; }
-
-    /** Tick this view last changed; 0 when never. */
-    sim::Tick lastChange() const { return _lastChange; }
 
     /**
      * Tick this view marked @p node Dead or Left under the highest
@@ -99,8 +89,6 @@ class MembershipView
     std::vector<NodeInfo> _info;
     std::vector<sim::Tick> _deadSince;
     int _self;
-    std::uint64_t _version = 0;
-    sim::Tick _lastChange = 0;
 };
 
 } // namespace press::fault

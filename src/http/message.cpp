@@ -62,22 +62,6 @@ methodName(Method m)
     return "UNKNOWN";
 }
 
-const char *
-parseErrorName(ParseError e)
-{
-    switch (e) {
-      case ParseError::BadRequestLine:
-        return "bad request line";
-      case ParseError::BadVersion:
-        return "bad HTTP version";
-      case ParseError::BadHeader:
-        return "bad header field";
-      case ParseError::IncompleteInput:
-        return "incomplete request";
-    }
-    return "?";
-}
-
 std::optional<std::string_view>
 Request::header(std::string_view name) const
 {
@@ -147,7 +131,7 @@ parseRequest(std::string_view text)
         return fail(ParseError::BadRequestLine);
 
     std::string_view ver = line->substr(sp2 + 1);
-    if (ver.size() < 8 || !iequals(ver.substr(0, 5), "HTTP/") ||
+    if (ver.size() != 8 || !iequals(ver.substr(0, 5), "HTTP/") ||
         ver[6] != '.' || !std::isdigit(static_cast<unsigned char>(ver[5])) ||
         !std::isdigit(static_cast<unsigned char>(ver[7])))
         return fail(ParseError::BadVersion);

@@ -61,8 +61,6 @@ enum class ParseError {
     IncompleteInput,  ///< no terminating blank line
 };
 
-const char *parseErrorName(ParseError e);
-
 /** A parsed HTTP request. */
 struct Request {
     Method method = Method::Unknown;

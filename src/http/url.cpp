@@ -37,8 +37,6 @@ percentDecode(std::string_view text)
                 return std::nullopt;
             out.push_back(static_cast<char>(hi * 16 + lo));
             i += 2;
-        } else if (c == '+') {
-            out.push_back(' ');
         } else {
             out.push_back(c);
         }

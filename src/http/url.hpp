@@ -21,7 +21,8 @@ struct SplitTarget {
 
 /**
  * Percent-decode @p text. Returns nullopt on malformed escapes
- * ("%g1", truncated "%a").
+ * ("%g1", truncated "%a"). '+' stays literal: it stands for a space
+ * only in form-encoded query strings, never in a path (RFC 3986 §3.3).
  */
 std::optional<std::string> percentDecode(std::string_view text);
 

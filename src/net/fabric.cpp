@@ -190,13 +190,6 @@ Fabric::txUtilization(NodeId port) const
     return _tx[port]->utilization();
 }
 
-double
-Fabric::rxUtilization(NodeId port) const
-{
-    checkPort(port);
-    return _rx[port]->utilization();
-}
-
 void
 Fabric::resetStats()
 {

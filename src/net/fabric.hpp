@@ -141,7 +141,6 @@ class Fabric
 
     /** TX engine utilization of @p port over the run so far. */
     double txUtilization(NodeId port) const;
-    double rxUtilization(NodeId port) const;
 
     /** Reset traffic statistics on every port. */
     void resetStats();

@@ -198,33 +198,19 @@ class ResourceProbe final : public sim::ResourceListener
 
 /**
  * Instrumentation macros. `tracer` is an obs::Tracer* that is null when
- * tracing is off, so a disabled site costs one predictable branch; with
- * PRESS_TRACE_DISABLED defined the sites compile away entirely.
+ * tracing is off, so a disabled site costs one predictable branch.
  */
-#ifndef PRESS_TRACE_DISABLED
 #define PRESS_TRACE_CALL(tracer, call)                                      \
     do {                                                                    \
         if (tracer)                                                         \
             (tracer)->call;                                                 \
     } while (0)
-#else
-#define PRESS_TRACE_CALL(tracer, call)                                      \
-    do {                                                                    \
-        (void)sizeof(tracer);                                               \
-    } while (0)
-#endif
 
-#define PRESS_TRACE_SPAN_BEGIN(tracer, node, code, req, arg)                \
-    PRESS_TRACE_CALL(tracer, spanBegin((node), (code), (req), (arg)))
-#define PRESS_TRACE_SPAN_END(tracer, node, code, req, arg)                  \
-    PRESS_TRACE_CALL(tracer, spanEnd((node), (code), (req), (arg)))
 #define PRESS_TRACE_ASYNC_BEGIN(tracer, node, code, req, arg)               \
     PRESS_TRACE_CALL(tracer, asyncBegin((node), (code), (req), (arg)))
 #define PRESS_TRACE_ASYNC_END(tracer, node, code, req, arg)                 \
     PRESS_TRACE_CALL(tracer, asyncEnd((node), (code), (req), (arg)))
 #define PRESS_TRACE_INSTANT(tracer, node, code, req, arg)                   \
     PRESS_TRACE_CALL(tracer, instant((node), (code), (req), (arg)))
-#define PRESS_TRACE_COUNTER(tracer, node, code, value)                      \
-    PRESS_TRACE_CALL(tracer, counter((node), (code), (value)))
 
 #endif // PRESS_OBS_TRACER_HPP

@@ -97,16 +97,6 @@ EventQueue::removeTop()
     return top;
 }
 
-std::pair<Tick, EventFn>
-EventQueue::pop()
-{
-    PRESS_ASSERT(!_heap.empty(), "pop from empty event queue");
-    Entry top = removeTop();
-    std::pair<Tick, EventFn> out{top.when, std::move(slotRef(top.slot))};
-    _free.push_back(top.slot);
-    return out;
-}
-
 void
 EventQueue::fireNext()
 {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
@@ -88,11 +87,8 @@ class EventQueue
     /** Time of the earliest pending event; MaxTick when empty. */
     Tick nextTime() const;
 
-    /** Domain of the event fireNext()/pop() would deliver next. */
+    /** Domain of the event fireNext() would deliver next. */
     Domain topDomain() const;
-
-    /** Remove and return the earliest event's callback and time. */
-    std::pair<Tick, EventFn> pop();
 
     /**
      * Remove the earliest event and invoke its callback in place (slot
@@ -100,9 +96,6 @@ class EventQueue
      * safe). The fast path of the simulator loop: no callback move.
      */
     void fireNext();
-
-    /** Total events ever inserted (for statistics). */
-    std::uint64_t inserted() const { return _seq; }
 
   private:
     /**

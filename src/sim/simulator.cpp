@@ -20,14 +20,6 @@ Simulator::schedule(Tick delay, EventFn fn)
 }
 
 void
-Simulator::scheduleAt(Tick when, EventFn fn)
-{
-    PRESS_ASSERT(when >= _now, "event scheduled in the past: ", when,
-                 " < ", _now);
-    push(when, std::move(fn), _currentDomain);
-}
-
-void
 Simulator::scheduleIn(Domain domain, Tick delay, EventFn fn)
 {
     PRESS_ASSERT(delay >= 0, "negative event delay ", delay);

@@ -62,10 +62,6 @@ class Simulator
      *  domain of the currently-firing event. */
     void schedule(Tick delay, EventFn fn);
 
-    /** Schedule @p fn at absolute time @p when (when >= now()), in the
-     *  domain of the currently-firing event. */
-    void scheduleAt(Tick when, EventFn fn);
-
     /**
      * Schedule @p fn to run @p delay ns from now in @p domain,
      * overriding inheritance. The explicit cross-domain handoff: use it

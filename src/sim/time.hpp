@@ -23,7 +23,6 @@ using Tick = std::int64_t;
 /** Largest representable tick, used as "never". */
 inline constexpr Tick MaxTick = INT64_MAX;
 
-using util::secondsToNs;
 using util::nsToSeconds;
 using util::transferTimeNs;
 

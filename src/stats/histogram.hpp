@@ -29,9 +29,6 @@ class LogHistogram
     /** Count in bucket @p i; 0 when the bucket was never hit. */
     std::uint64_t bucket(std::size_t i) const;
 
-    /** Number of allocated buckets. */
-    std::size_t buckets() const { return _buckets.size(); }
-
     /**
      * Approximate quantile (0 <= q <= 1) assuming uniform distribution
      * inside each bucket; 0 when empty.

@@ -1,6 +1,5 @@
 #include "traffic/rate_curve.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -27,73 +26,6 @@ rampArea(double r0, double r1, sim::Tick x, sim::Tick dur)
     return r0 * xs + 0.5 * (r1 - r0) * xs * xs / seconds(dur);
 }
 
-// ---- grammar scanner ------------------------------------------------
-
-struct Scanner {
-    const std::string &s;
-    std::size_t pos = 0;
-
-    bool done() const { return pos >= s.size(); }
-    char peek() const { return done() ? '\0' : s[pos]; }
-
-    bool lit(const char *word)
-    {
-        std::size_t n = std::char_traits<char>::length(word);
-        if (s.compare(pos, n, word) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
-    bool number(double &out)
-    {
-        std::size_t start = pos;
-        std::size_t digits = 0;
-        while (!done() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
-            ++pos;
-            ++digits;
-        }
-        // At most one decimal point — and ".." is the ramp separator,
-        // not a decimal point, so stop before a doubled dot.
-        if (!done() && s[pos] == '.' &&
-            !(pos + 1 < s.size() && s[pos + 1] == '.')) {
-            ++pos;
-            while (!done() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos]))) {
-                ++pos;
-                ++digits;
-            }
-        }
-        if (digits == 0) {
-            pos = start;
-            return false;
-        }
-        out = std::stod(s.substr(start, pos - start));
-        return true;
-    }
-
-    bool duration(sim::Tick &out)
-    {
-        std::size_t start = pos;
-        while (!done() && std::isdigit(static_cast<unsigned char>(s[pos])))
-            ++pos;
-        if (pos == start)
-            return false;
-        sim::Tick value = std::stoll(s.substr(start, pos - start));
-        if (lit("ns"))
-            out = value;
-        else if (lit("us"))
-            out = value * util::US;
-        else if (lit("ms"))
-            out = value * util::MS;
-        else if (lit("s"))
-            out = value * util::SEC;
-        else
-            return false;
-        return true;
-    }
-};
-
 std::string
 renderDuration(sim::Tick t)
 {
@@ -113,7 +45,7 @@ std::string
 renderRate(double r)
 {
     std::ostringstream os;
-    os << r; // default precision round-trips every rate we emit
+    os << r; // six significant digits: a label, not an exact value
     return os.str();
 }
 
@@ -159,20 +91,6 @@ RateCurve::addConst(sim::Tick at, double rate)
 }
 
 RateCurve &
-RateCurve::addRamp(sim::Tick at, double from, double to, sim::Tick dur)
-{
-    PRESS_ASSERT(from > 0 && to > 0 && dur > 0,
-                 "ramp rates and duration must be positive");
-    RateSegment seg;
-    seg.shape = RateSegment::Shape::Ramp;
-    seg.start = at;
-    seg.base = from;
-    seg.peak = to;
-    seg.d1 = dur;
-    return add(seg);
-}
-
-RateCurve &
 RateCurve::addDiurnal(sim::Tick at, double base, double amplitude,
                       sim::Tick period)
 {
@@ -207,35 +125,6 @@ RateCurve::addFlash(sim::Tick at, double base, double peak,
 }
 
 double
-RateCurve::segmentRate(const RateSegment &seg, sim::Tick x) const
-{
-    switch (seg.shape) {
-    case RateSegment::Shape::Const:
-        return seg.base;
-    case RateSegment::Shape::Ramp:
-        if (x >= seg.d1)
-            return seg.peak;
-        return seg.base + (seg.peak - seg.base) * seconds(x) / seconds(seg.d1);
-    case RateSegment::Shape::Diurnal:
-        return seg.base +
-               seg.peak * std::sin(TwoPi * seconds(x) / seconds(seg.d1));
-    case RateSegment::Shape::Flash: {
-        if (x < seg.d1)
-            return seg.base +
-                   (seg.peak - seg.base) * seconds(x) / seconds(seg.d1);
-        if (x < seg.d1 + seg.d2)
-            return seg.peak;
-        if (x < seg.d1 + seg.d2 + seg.d3)
-            return seg.peak - (seg.peak - seg.base) *
-                                  seconds(x - seg.d1 - seg.d2) /
-                                  seconds(seg.d3);
-        return seg.base;
-    }
-    }
-    return seg.base;
-}
-
-double
 RateCurve::segmentIntegral(const RateSegment &seg, sim::Tick x) const
 {
     if (x <= 0)
@@ -243,11 +132,6 @@ RateCurve::segmentIntegral(const RateSegment &seg, sim::Tick x) const
     switch (seg.shape) {
     case RateSegment::Shape::Const:
         return seg.base * seconds(x);
-    case RateSegment::Shape::Ramp:
-        if (x <= seg.d1)
-            return rampArea(seg.base, seg.peak, x, seg.d1);
-        return rampArea(seg.base, seg.peak, seg.d1, seg.d1) +
-               seg.peak * seconds(x - seg.d1);
     case RateSegment::Shape::Diurnal: {
         double period = seconds(seg.d1);
         return seg.base * seconds(x) +
@@ -270,17 +154,6 @@ RateCurve::segmentIntegral(const RateSegment &seg, sim::Tick x) const
     }
     }
     return 0.0;
-}
-
-double
-RateCurve::rateAt(sim::Tick t) const
-{
-    PRESS_ASSERT(!_segments.empty(), "rateAt on an empty curve");
-    std::size_t i = _segments.size();
-    while (i > 1 && _segments[i - 1].start > t)
-        --i;
-    const RateSegment &seg = _segments[i - 1];
-    return segmentRate(seg, t - seg.start);
 }
 
 double
@@ -329,13 +202,6 @@ RateCurve::invert(double mass) const
     return seg.start + hi;
 }
 
-double
-RateCurve::meanRate(sim::Tick a, sim::Tick b) const
-{
-    PRESS_ASSERT(b > a, "meanRate needs a non-empty window");
-    return (integral(b) - integral(a)) / seconds(b - a);
-}
-
 std::string
 RateCurve::spec() const
 {
@@ -347,10 +213,6 @@ RateCurve::spec() const
         switch (seg.shape) {
         case RateSegment::Shape::Const:
             os << "const:" << renderRate(seg.base);
-            break;
-        case RateSegment::Shape::Ramp:
-            os << "ramp:" << renderRate(seg.base) << ".."
-               << renderRate(seg.peak) << "/" << renderDuration(seg.d1);
             break;
         case RateSegment::Shape::Diurnal:
             os << "diurnal:" << renderRate(seg.base) << "~"
@@ -366,77 +228,6 @@ RateCurve::spec() const
         os << "@" << renderDuration(seg.start);
     }
     return os.str();
-}
-
-bool
-RateCurve::tryParse(const std::string &spec, RateCurve &out,
-                    std::string &error)
-{
-    RateCurve curve;
-    Scanner sc{spec};
-    auto fail = [&](const std::string &what) {
-        std::ostringstream os;
-        os << what << " at offset " << sc.pos << " in '" << spec << "'";
-        error = os.str();
-        return false;
-    };
-    if (spec.empty())
-        return fail("empty curve spec");
-    for (;;) {
-        RateSegment seg;
-        double r0 = 0, r1 = 0;
-        sim::Tick d1 = 0, d2 = 0, d3 = 0;
-        if (sc.lit("const:")) {
-            seg.shape = RateSegment::Shape::Const;
-            if (!sc.number(r0) || r0 <= 0)
-                return fail("expected positive rate after 'const:'");
-        } else if (sc.lit("ramp:")) {
-            seg.shape = RateSegment::Shape::Ramp;
-            if (!sc.number(r0) || !sc.lit("..") || !sc.number(r1) ||
-                !sc.lit("/") || !sc.duration(d1))
-                return fail("expected 'ramp:R0..R1/DUR'");
-            if (r0 <= 0 || r1 <= 0 || d1 <= 0)
-                return fail("ramp rates and duration must be positive");
-        } else if (sc.lit("diurnal:")) {
-            seg.shape = RateSegment::Shape::Diurnal;
-            if (!sc.number(r0) || !sc.lit("~") || !sc.number(r1) ||
-                !sc.lit("/") || !sc.duration(d1))
-                return fail("expected 'diurnal:BASE~AMP/PERIOD'");
-            if (r0 <= 0 || r1 < 0 || r1 >= r0 || d1 <= 0)
-                return fail("diurnal amplitude must stay below the base");
-        } else if (sc.lit("flash:")) {
-            seg.shape = RateSegment::Shape::Flash;
-            if (!sc.number(r0) || !sc.lit("^") || !sc.number(r1) ||
-                !sc.lit("/") || !sc.duration(d1) || !sc.lit("+") ||
-                !sc.duration(d2) || !sc.lit("+") || !sc.duration(d3))
-                return fail("expected 'flash:BASE^PEAK/ATTACK+SUSTAIN+DECAY'");
-            if (r0 <= 0 || r1 < r0 || d1 <= 0 || d2 < 0 || d3 <= 0)
-                return fail("flash spike must rise from a positive base");
-        } else {
-            return fail("expected shape verb "
-                        "(const|ramp|diurnal|flash)");
-        }
-        seg.base = r0;
-        seg.peak = r1;
-        seg.d1 = d1;
-        seg.d2 = d2;
-        seg.d3 = d3;
-        if (!sc.lit("@") || !sc.duration(seg.start))
-            return fail("expected '@TIME' after shape");
-        if (curve._segments.empty()) {
-            if (seg.start != 0)
-                return fail("first segment must start at 0");
-        } else if (seg.start <= curve._segments.back().start) {
-            return fail("segment starts must be strictly increasing");
-        }
-        curve.add(seg);
-        if (sc.done())
-            break;
-        if (!sc.lit(";"))
-            return fail("expected ';' between segments");
-    }
-    out = std::move(curve);
-    return true;
 }
 
 // ---- ArrivalEngine --------------------------------------------------

@@ -2,24 +2,6 @@
 
 namespace press::util {
 
-namespace {
-
-LogLevel gLevel = LogLevel::Normal;
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    gLevel = level;
-}
-
 namespace detail {
 
 void
@@ -42,15 +24,7 @@ fatalImpl(std::string_view what)
 void
 warnImpl(std::string_view what)
 {
-    if (gLevel != LogLevel::Quiet)
-        std::cerr << "warn: " << what << std::endl;
-}
-
-void
-informImpl(std::string_view what)
-{
-    if (gLevel != LogLevel::Quiet)
-        std::cout << "info: " << what << std::endl;
+    std::cerr << "warn: " << what << std::endl;
 }
 
 } // namespace detail

@@ -4,8 +4,8 @@
  *
  * panic() is for internal invariant violations (simulator bugs): it prints
  * and aborts. fatal() is for user errors (bad configuration, impossible
- * parameter combinations): it prints and exits with status 1. warn() and
- * inform() report conditions without stopping the run.
+ * parameter combinations): it prints and exits with status 1. warn()
+ * reports a condition on stderr without stopping the run.
  */
 
 #ifndef PRESS_UTIL_LOGGING_HPP
@@ -18,19 +18,6 @@
 #include <string_view>
 
 namespace press::util {
-
-/** Verbosity levels for status messages. */
-enum class LogLevel {
-    Quiet,   ///< only panic/fatal output
-    Normal,  ///< warn + inform
-    Verbose, ///< everything, including debug traces
-};
-
-/** Process-wide verbosity; defaults to Normal. */
-LogLevel logLevel();
-
-/** Set the process-wide verbosity. */
-void setLogLevel(LogLevel level);
 
 namespace detail {
 
@@ -47,7 +34,6 @@ concat(Args &&...args)
 [[noreturn]] void panicImpl(std::string_view where, std::string_view what);
 [[noreturn]] void fatalImpl(std::string_view what);
 void warnImpl(std::string_view what);
-void informImpl(std::string_view what);
 
 } // namespace detail
 
@@ -79,14 +65,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace press::util

@@ -68,15 +68,6 @@ Rng::uniformInt(std::uint64_t n)
 }
 
 double
-Rng::exponential(double mean)
-{
-    PRESS_ASSERT(mean > 0, "exponential mean must be positive");
-    double u = uniform();
-    // 1 - u is in (0, 1], so the log is finite.
-    return -mean * std::log(1.0 - u);
-}
-
-double
 Rng::normal()
 {
     // Box-Muller; consumes exactly two engine outputs.
@@ -103,13 +94,7 @@ Rng::lognormalByMean(double linear_mean, double sigma)
     return std::exp(normal(mu, sigma));
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next());
-}
-
-ZipfSampler::ZipfSampler(std::size_t n, double alpha) : _alpha(alpha)
+ZipfSampler::ZipfSampler(std::size_t n, double alpha)
 {
     PRESS_ASSERT(n >= 1, "ZipfSampler needs at least one rank");
     _cdf.resize(n);

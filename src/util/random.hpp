@@ -57,9 +57,6 @@ class Rng
     /** Uniform integer in [0, n). @p n must be > 0. */
     std::uint64_t uniformInt(std::uint64_t n);
 
-    /** Exponential with the given mean (> 0). */
-    double exponential(double mean);
-
     /** Standard normal via Box-Muller (consumes two outputs). */
     double normal();
 
@@ -72,9 +69,6 @@ class Rng
      * the paper reports the arithmetic mean.
      */
     double lognormalByMean(double linear_mean, double sigma);
-
-    /** Split off an independent stream (seeded from this stream). */
-    Rng split();
 
   private:
     std::uint64_t _state[4];
@@ -112,11 +106,9 @@ class ZipfSampler
     double accumulated(std::size_t n) const;
 
     std::size_t size() const { return _cdf.size(); }
-    double alpha() const { return _alpha; }
 
   private:
     std::vector<double> _cdf; ///< inclusive prefix sums, _cdf.back() == 1
-    double _alpha;
 };
 
 } // namespace press::util

@@ -31,13 +31,6 @@ inline constexpr std::int64_t US = 1000 * NS;
 inline constexpr std::int64_t MS = 1000 * US;
 inline constexpr std::int64_t SEC = 1000 * MS;
 
-/** Convert seconds (double) to integer nanoseconds, rounding to nearest. */
-constexpr std::int64_t
-secondsToNs(double s)
-{
-    return static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5));
-}
-
 /** Convert integer nanoseconds to seconds. */
 constexpr double
 nsToSeconds(std::int64_t ns)

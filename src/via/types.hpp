@@ -54,13 +54,6 @@ enum class Status {
     ErrorFlushed,       ///< VI torn down while descriptor pending
 };
 
-/** True when the status represents an error. */
-constexpr bool
-isError(Status s)
-{
-    return s != Status::Pending && s != Status::Complete;
-}
-
 } // namespace press::via
 
 #endif // PRESS_VIA_TYPES_HPP

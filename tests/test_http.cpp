@@ -62,6 +62,13 @@ TEST(HttpParse, Errors)
     EXPECT_EQ(*parseRequest("GET /x HTTP/1.1\r\nHost: h\r\n").error,
               ParseError::IncompleteInput);
     EXPECT_EQ(*parseRequest("").error, ParseError::IncompleteInput);
+    // The version token is exactly HTTP/x.y: nothing may trail it.
+    // These compare the optional itself, so an accepted parse fails
+    // the check instead of dereferencing an empty optional.
+    EXPECT_EQ(parseRequest("GET /a.html HTTP/1.1x\r\n\r\n").error,
+              ParseError::BadVersion);
+    EXPECT_EQ(parseRequest("GET /a.html HTTP/1.12\r\n\r\n").error,
+              ParseError::BadVersion);
 }
 
 TEST(HttpParse, UnknownMethodSurvives)
@@ -104,7 +111,7 @@ TEST(Url, PercentDecode)
     EXPECT_EQ(*percentDecode("/a%20b"), "/a b");
     EXPECT_EQ(*percentDecode("/%41%42"), "/AB");
     EXPECT_EQ(*percentDecode("plain"), "plain");
-    EXPECT_EQ(*percentDecode("a+b"), "a b");
+    EXPECT_EQ(*percentDecode("a+b"), "a+b"); // '+' is literal in a path
     EXPECT_FALSE(percentDecode("/bad%g1"));
     EXPECT_FALSE(percentDecode("/trunc%4"));
 }
@@ -130,6 +137,9 @@ TEST(Url, SplitTarget)
     EXPECT_FALSE(splitTarget("no-leading-slash"));
     EXPECT_FALSE(splitTarget(""));
     EXPECT_FALSE(splitTarget("/%zz"));
+    auto plus = splitTarget("/c++/notes+faq.html");
+    ASSERT_TRUE(plus);
+    EXPECT_EQ(plus->path, "/c++/notes+faq.html");
 }
 
 TEST(Mime, KnownAndUnknown)

@@ -26,7 +26,7 @@ TEST(EventQueue, OrdersByTime)
     q.push(10, [&] { order.push_back(1); });
     q.push(20, [&] { order.push_back(2); });
     while (!q.empty())
-        q.pop().second();
+        q.fireNext();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -37,7 +37,7 @@ TEST(EventQueue, FifoAmongEqualTimes)
     for (int i = 0; i < 100; ++i)
         q.push(5, [&order, i] { order.push_back(i); });
     while (!q.empty())
-        q.pop().second();
+        q.fireNext();
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(order[i], i);
 }

@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for the open-loop traffic subsystem: the curve grammar,
- * integral/inversion consistency, interarrival statistics per shape,
+ * Unit tests for the open-loop traffic subsystem: integral/inversion
+ * consistency, interarrival statistics per shape, the scenario presets,
  * and the population/session models' counter-based determinism.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 
 #include "traffic/population.hpp"
 #include "traffic/rate_curve.hpp"
@@ -46,59 +47,15 @@ gapStats(ArrivalEngine &engine, int n)
 
 } // namespace
 
-// ---- grammar --------------------------------------------------------
-
-TEST(RateCurveGrammar, RoundTripsEveryShape)
-{
-    const std::string spec =
-        "const:3000@0s;ramp:3000..5000/500ms@1s;"
-        "diurnal:4000~1500/2s@2s;flash:3000^9000/150ms+600ms+300ms@5s";
-    RateCurve curve;
-    std::string err;
-    ASSERT_TRUE(RateCurve::tryParse(spec, curve, err)) << err;
-    EXPECT_EQ(curve.segments().size(), 4u);
-    EXPECT_EQ(curve.spec(), spec);
-
-    // The canonical rendering parses back to itself.
-    RateCurve again;
-    ASSERT_TRUE(RateCurve::tryParse(curve.spec(), again, err)) << err;
-    EXPECT_EQ(again.spec(), spec);
-}
-
-TEST(RateCurveGrammar, RejectsMalformedSpecs)
-{
-    RateCurve out;
-    std::string err;
-    const char *bad[] = {
-        "",                              // empty
-        "const:0@0s",                    // zero rate
-        "const:100@1s",                  // first segment not at 0
-        "warp:100@0s",                   // unknown verb
-        "const:100@0s;const:200@0s",     // non-increasing starts
-        "ramp:100..200@0s",              // missing duration
-        "diurnal:1000~1000/1s@0s",       // amplitude == base
-        "flash:1000^500/1ms+1ms+1ms@0s", // peak below base
-        "const:100@0s extra",            // trailing garbage
-        "const:100",                     // missing @time
-    };
-    for (const char *spec : bad) {
-        EXPECT_FALSE(RateCurve::tryParse(spec, out, err))
-            << "accepted: " << spec;
-        EXPECT_FALSE(err.empty());
-    }
-}
-
 // ---- integral / inversion -------------------------------------------
 
 TEST(RateCurve, InvertIsTheInverseOfIntegral)
 {
     RateCurve curve;
-    std::string err;
-    ASSERT_TRUE(RateCurve::tryParse(
-        "const:2000@0s;ramp:2000..6000/400ms@1s;"
-        "diurnal:5000~2000/1s@2s;flash:4000^12000/100ms+300ms+200ms@4s",
-        curve, err))
-        << err;
+    curve.addConst(0, 2000)
+        .addDiurnal(2 * util::SEC, 5000, 2000, util::SEC)
+        .addFlash(4 * util::SEC, 4000, 12000, 100 * util::MS,
+                  300 * util::MS, 200 * util::MS);
     for (sim::Tick t = 50 * util::MS; t < 6 * util::SEC;
          t += 37 * util::MS) {
         double mass = curve.integral(t);
@@ -113,28 +70,24 @@ TEST(RateCurve, InvertIsTheInverseOfIntegral)
 
 TEST(RateCurve, IntegralMatchesShapeAreas)
 {
-    // const 1000 for 1 s -> 1000 arrivals; ramp 1000..3000 over 1 s
-    // -> 2000; diurnal's sinusoid integrates to 0 over a full period.
+    // const 1000 for 1 s -> 1000 arrivals.
     RateCurve c1 = RateCurve::constant(1000);
     EXPECT_NEAR(c1.integral(util::SEC), 1000.0, 1e-6);
 
+    // Diurnal's sinusoid integrates to 0 over a full period; over the
+    // rising first half it adds amplitude * period / pi.
     RateCurve c2;
-    c2.addRamp(0, 1000, 3000, util::SEC);
+    c2.addDiurnal(0, 2000, 800, util::SEC);
     EXPECT_NEAR(c2.integral(util::SEC), 2000.0, 1e-6);
-    // After the ramp the rate holds at 3000.
-    EXPECT_NEAR(c2.integral(2 * util::SEC), 5000.0, 1e-6);
+    EXPECT_NEAR(c2.integral(util::SEC / 2), 1000.0 + 800.0 / std::numbers::pi,
+                1e-6);
 
     RateCurve c3;
-    c3.addDiurnal(0, 2000, 800, util::SEC);
-    EXPECT_NEAR(c3.integral(util::SEC), 2000.0, 1e-6);
-    EXPECT_NEAR(c3.rateAt(util::SEC / 4), 2800.0, 1e-6);
-    EXPECT_NEAR(c3.rateAt(3 * util::SEC / 4), 1200.0, 1e-6);
-
-    RateCurve c4;
-    c4.addFlash(0, 1000, 3000, util::SEC, util::SEC, util::SEC);
-    // attack trapezoid 2000 + sustain 3000 + decay trapezoid 2000.
-    EXPECT_NEAR(c4.integral(3 * util::SEC), 7000.0, 1e-6);
-    EXPECT_NEAR(c4.rateAt(4 * util::SEC), 1000.0, 1e-6);
+    c3.addFlash(0, 1000, 3000, util::SEC, util::SEC, util::SEC);
+    // attack trapezoid 2000 + sustain 3000 + decay trapezoid 2000,
+    // then the base rate again.
+    EXPECT_NEAR(c3.integral(3 * util::SEC), 7000.0, 1e-6);
+    EXPECT_NEAR(c3.integral(4 * util::SEC), 8000.0, 1e-6);
 }
 
 // ---- arrival statistics ---------------------------------------------
@@ -151,12 +104,10 @@ TEST(ArrivalEngine, ConstantRateGapsHavePoissonMeanAndCv)
 TEST(ArrivalEngine, WindowedCountsTrackTheCurveIntegral)
 {
     RateCurve curve;
-    std::string err;
-    ASSERT_TRUE(RateCurve::tryParse(
-        "const:1000@0s;flash:1000^5000/200ms+400ms+200ms@1s;"
-        "diurnal:2000~900/1s@3s",
-        curve, err))
-        << err;
+    curve.addConst(0, 1000)
+        .addFlash(util::SEC, 1000, 5000, 200 * util::MS, 400 * util::MS,
+                  200 * util::MS)
+        .addDiurnal(3 * util::SEC, 2000, 900, util::SEC);
     ArrivalEngine engine(curve, 7);
     // Count arrivals per 200 ms window over 5 s.
     constexpr sim::Tick Window = 200 * util::MS;
@@ -270,17 +221,26 @@ TEST(SessionModel, ThinkGapsAreExponential)
 
 TEST(Scenarios, PresetsShapeAsAdvertised)
 {
+    auto averageRate = [](const RateCurve &c, sim::Tick a, sim::Tick b) {
+        return (c.integral(b) - c.integral(a)) / sim::nsToSeconds(b - a);
+    };
     EXPECT_FALSE(steadyScenario(4000).shaped() &&
                  steadyScenario(4000).curve.empty());
-    EXPECT_NEAR(steadyScenario(4000).curve.meanRate(0, util::SEC), 4000,
+    EXPECT_NEAR(averageRate(steadyScenario(4000).curve, 0, util::SEC), 4000,
                 1e-6);
     // Diurnal averages to the base over a full period.
-    EXPECT_NEAR(diurnalScenario(4000).curve.meanRate(0, 2 * util::SEC),
+    EXPECT_NEAR(averageRate(diurnalScenario(4000).curve, 0, 2 * util::SEC),
                 4000, 1e-6);
     TrafficModel flash = flashScenario(3000);
     EXPECT_TRUE(flash.population.active());
-    EXPECT_GT(flash.curve.rateAt(2 * util::SEC),
-              2.5 * flash.curve.rateAt(0));
+    // Mid-sustain the spike runs at 3x the opening rate.
+    EXPECT_GT(averageRate(flash.curve, 2 * util::SEC, 2100 * util::MS),
+              2.5 * averageRate(flash.curve, 0, 100 * util::MS));
+    // spec() is the label capacity_slo writes into BENCH_slo.json.
+    EXPECT_EQ(steadyScenario(3000).curve.spec(), "const:3000@0s");
+    EXPECT_EQ(diurnalScenario(3000).curve.spec(), "diurnal:3000~1200/2s@0s");
+    EXPECT_EQ(flash.curve.spec(),
+              "const:3000@0s;flash:3000^9000/150ms+600ms+300ms@1500ms");
     TrafficModel ka = keepAliveScenario(4000);
     EXPECT_TRUE(ka.session.enabled);
     TrafficModel dyn = dynamicMixScenario(4000);

@@ -55,16 +55,6 @@ TEST(Rng, UniformIntBounds)
         EXPECT_NEAR(c, 10000, 500);
 }
 
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(11);
-    double sum = 0;
-    const double mean = 4.2;
-    for (int i = 0; i < 200000; ++i)
-        sum += rng.exponential(mean);
-    EXPECT_NEAR(sum / 200000, mean, 0.05);
-}
-
 TEST(Rng, NormalMoments)
 {
     Rng rng(13);
@@ -89,17 +79,6 @@ TEST(Rng, LognormalLinearMean)
     for (int i = 0; i < n; ++i)
         sum += rng.lognormalByMean(14200.0, 1.3);
     EXPECT_NEAR(sum / n / 14200.0, 1.0, 0.03);
-}
-
-TEST(Rng, SplitStreamsIndependent)
-{
-    Rng a(21);
-    Rng b = a.split();
-    // The split stream must differ from the parent's continuation.
-    int equal = 0;
-    for (int i = 0; i < 100; ++i)
-        equal += a.next() == b.next();
-    EXPECT_LT(equal, 3);
 }
 
 TEST(Zipf, ProbabilitiesSumToOne)
